@@ -30,7 +30,7 @@ QPS = 450.0
 def _run(workload, search_table):
     results = {}
     for policy in POLICIES:
-        # workers=None: fan the per-ISN simulations over the exec pool
+        # workers=None: fan the ISN groups over the exec pool
         # (REPRO_BENCH_WORKERS / cpu count); numbers are bit-identical
         # to the single-process run.
         results[policy] = run_cluster_experiment(

@@ -1,4 +1,4 @@
-"""Cluster experiment: N ISNs behind one aggregator on a shared clock.
+"""Cluster experiment: N ISNs behind one aggregator.
 
 Every logical query fans out to all ISNs.  Each ISN receives its own
 replica of the request with lognormally jittered demand (document
@@ -10,17 +10,21 @@ the same table (Section 3.3).
 
 Because ISNs never interact — each server's events touch only its own
 state, and the aggregator is a pure max over replica completion times —
-the experiment decomposes exactly into one independent simulation per
-ISN.  With ``workers > 1`` the per-ISN runs fan out across the
-:mod:`repro.exec` process pool (all shared randomness — trace,
-arrivals, the demand-jitter matrix — is drawn once up front), and the
-reassembled result is bit-identical to the shared-engine path.
+one body, :func:`_run_isn_group`, simulates any contiguous group of
+ISNs on its own engine.  :func:`run_cluster_experiment` draws all
+shared randomness (trace, arrivals, the demand-jitter matrix) once up
+front, splits the ISNs into one group per worker, runs the groups
+through :func:`repro.exec.run_tasks` (in process for one worker, a
+process pool otherwise) and merges their completion times into the
+aggregator's view.  The result is bit-identical at any worker count.
+Faults and hedges couple the ISNs; those runs go to
+:func:`repro.resilience.cluster.run_shared_resilient` instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,7 +42,6 @@ from ..sim.load import LoadMetric
 from ..sim.metrics import LatencyRecorder, percentile
 from ..sim.request import Request
 from ..sim.server import Server
-from .aggregator import Aggregator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..resilience.faults import FaultSpec
@@ -86,76 +89,126 @@ class ClusterExperimentResult:
 
 
 @dataclass(frozen=True)
-class _IsnTask:
-    """Everything one worker needs to simulate a single ISN."""
+class _IsnGroup:
+    """Everything one worker needs to simulate a contiguous run of ISNs."""
 
-    isn: int
+    first_isn: int
     server_config: ServerConfig
     policy_name: str
     policy_config: PolicyConfig | None
     load_metric: LoadMetric
-    target_entries: tuple[tuple[float, float], ...] | None
+    target_table: TargetTable | None
     speedup_book: SpeedupBook
     group_weights: tuple[float, ...]
-    #: Per-request (rid, demand_ms, predicted_ms, profile) replicas.
-    replicas: tuple
-    arrivals_ms: tuple[float, ...]
+    #: Per logical query: (rid, demand_ms, predicted_ms, profile).
+    queries: tuple
+    arrivals_ms: np.ndarray
+    #: Demand-jitter factors, shape (n_queries, ISNs in this group).
+    jitters: np.ndarray
 
 
-def _run_single_isn(task: _IsnTask) -> tuple[np.ndarray, LatencyRecorder]:
-    """Simulate one ISN in isolation; returns (finish times, recorder).
+def _run_isn_group(group: _IsnGroup) -> tuple[np.ndarray, list[LatencyRecorder]]:
+    """Simulate one group of ISNs on a shared engine.
 
-    ``finish[i]`` is the absolute completion time of the replica of the
-    i-th submitted query.  Per-ISN behaviour is identical to the
-    shared-engine run: a server's events depend only on its own state,
-    and relative ordering of one server's equal-time events is the
-    insertion order in both layouts.
+    Returns ``(finishes, recorders)``: ``finishes[k, q]`` is the
+    absolute completion time of the group's ``k``-th ISN's replica of
+    query ``q``.  One fan-out event per query submits every replica of
+    the group.  ISNs never interact, so a server's behaviour does not
+    depend on which other ISNs share its engine: its equal-time events
+    fire in its own insertion order under any grouping.
     """
     engine = Engine()
-    table = (
-        TargetTable(task.target_entries)
-        if task.target_entries is not None
-        else None
-    )
-    policy = make_policy(
-        task.policy_name,
-        speedup_book=task.speedup_book,
-        group_weights=task.group_weights,
-        target_table=table,
-        policy_config=task.policy_config,
-        load_metric=task.load_metric,
-    )
-    n = len(task.replicas)
-    finishes = np.full(n, np.nan, dtype=np.float64)
-    order = {rid: i for i, (rid, _, _, _) in enumerate(task.replicas)}
-
-    def on_complete(request: Request) -> None:
-        finishes[order[request.rid]] = engine.now
-
-    server = Server(
-        task.server_config,
-        policy,
-        engine=engine,
-        completion_callback=on_complete,
-    )
-    for (rid, demand, predicted, profile), at in zip(
-        task.replicas, task.arrivals_ms
-    ):
-        replica = Request(
-            rid=rid,
-            demand_ms=demand,
-            predicted_ms=predicted,
-            speedup=profile,
+    n_queries, size = group.jitters.shape
+    order = {rid: q for q, (rid, _, _, _) in enumerate(group.queries)}
+    finishes = [[float("nan")] * n_queries for _ in range(size)]
+    completed = 0
+    servers: list[Server] = []
+    for row in finishes:
+        policy = make_policy(
+            group.policy_name,
+            speedup_book=group.speedup_book,
+            group_weights=group.group_weights,
+            target_table=group.target_table,
+            policy_config=group.policy_config,
+            load_metric=group.load_metric,
         )
 
-        def submit(req: Request = replica) -> None:
-            server.submit(req)
+        def on_complete(request: Request, row: list[float] = row) -> None:
+            nonlocal completed
+            row[order[request.rid]] = engine.now
+            completed += 1
 
-        engine.schedule_at(float(at), submit)
-    server.run_to_completion(n)
-    if np.isnan(finishes).any():
-        raise SimulationError(f"ISN {task.isn} dropped replicas")
-    return finishes, server.recorder
+        servers.append(
+            Server(
+                group.server_config,
+                policy,
+                engine=engine,
+                completion_callback=on_complete,
+            )
+        )
+
+    for (rid, demand, predicted, profile), at, jitter in zip(
+        group.queries, group.arrivals_ms.tolist(), group.jitters.tolist()
+    ):
+
+        def fan_out(
+            rid: int = rid,
+            demand: float = demand,
+            predicted: float = predicted,
+            profile=profile,
+            jitter: list[float] = jitter,
+        ) -> None:
+            for server, factor in zip(servers, jitter):
+                server.submit(
+                    Request(
+                        rid=rid,
+                        demand_ms=demand * factor,
+                        predicted_ms=predicted,
+                        speedup=profile,
+                    )
+                )
+
+        engine.schedule_at(at, fan_out)
+
+    expected = n_queries * size
+    while completed < expected:
+        if not engine.step():
+            raise SimulationError(
+                f"ISNs {group.first_isn}..{group.first_isn + size - 1} "
+                f"drained with {completed}/{expected} replicas complete"
+            )
+    return np.asarray(finishes, dtype=np.float64), [s.recorder for s in servers]
+
+
+def _draw_inputs(
+    workload: SearchWorkload,
+    n_queries: int,
+    qps: float,
+    seed: int,
+    ccfg: ClusterConfig,
+    prediction: str,
+) -> tuple[list[Request], np.ndarray, list[np.ndarray]]:
+    """The run's shared randomness: trace, arrivals, demand jitters.
+
+    Drawn once up front, in one fixed stream order, so every grouping
+    of the plain path and the resilient path see identical inputs.
+    """
+    rngs = RngFactory(seed)
+    logical = workload.make_requests(
+        n_queries, rngs.get("trace"), prediction=prediction
+    )
+    arrivals = poisson_arrival_times(n_queries, qps, rngs.get("arrivals"))
+    jitter_rng = rngs.get("shard-jitter")
+    sigma = ccfg.demand_jitter_sigma
+    jitters = [
+        (
+            jitter_rng.lognormal(-sigma**2 / 2.0, sigma, size=ccfg.num_isns)
+            if sigma > 0
+            else np.ones(ccfg.num_isns)
+        )
+        for _ in range(n_queries)
+    ]
+    return logical, arrivals, jitters
 
 
 def run_cluster_experiment(
@@ -171,53 +224,36 @@ def run_cluster_experiment(
     load_metric: LoadMetric = LoadMetric.LONG_THREADS,
     prediction: str = "model",
     workers: int | None = 1,
-    progress: Callable[[int, int], None] | None = None,
     fault_spec: "FaultSpec | None" = None,
     hedge_policy: "HedgePolicy | None" = None,
 ) -> ClusterExperimentResult:
     """Run one policy on a full partition-aggregate cluster.
 
     Every ISN gets an independent policy instance and server but they
-    share the simulation clock, the target table and the predictor, as
-    in the paper's deployment.  ``workers`` (None = the
-    ``REPRO_BENCH_WORKERS`` / cpu-count default) selects how many
-    processes the per-ISN simulations fan out over; results are
-    bit-identical at any worker count.  ``progress`` receives
-    ``(isns_completed, num_isns)`` in parallel mode.
+    share the target table and the predictor, as in the paper's
+    deployment.  ``workers`` (None = the ``REPRO_BENCH_WORKERS`` /
+    cpu-count default) sets how many groups the ISNs are split into:
+    one group runs in this process, several fan out over the
+    :mod:`repro.exec` process pool.  Results are bit-identical at any
+    worker count.
 
     ``fault_spec`` injects per-ISN fault windows and ``hedge_policy``
     enables partial-wait aggregation and hedged re-issue (see
     :mod:`repro.resilience`).  Either option couples the ISNs (hedges
     move work between nodes, faults are wall-clock windows on the
-    shared clock), so the run then uses the shared-engine path
-    regardless of ``workers`` and returns a
-    :class:`~repro.resilience.cluster.ResilientClusterResult`.  With
-    both left at their no-op defaults this function behaves exactly as
-    before.
+    shared clock), so the run then uses the shared-engine
+    :func:`~repro.resilience.cluster.run_shared_resilient` regardless
+    of ``workers`` and returns a
+    :class:`~repro.resilience.cluster.ResilientClusterResult`.  No-op
+    options keep the plain path.
     """
     if n_queries < 1:
         raise ConfigError("n_queries must be >= 1")
     ccfg = cluster_config if cluster_config is not None else ClusterConfig()
     scfg = server_config if server_config is not None else ServerConfig()
-    rngs = RngFactory(seed)
-
-    # All shared randomness is drawn up front, in the exact stream
-    # order of the original single-engine implementation, so both
-    # execution layouts see identical traces, arrivals and jitters.
-    logical = workload.make_requests(
-        n_queries, rngs.get("trace"), prediction=prediction
+    logical, arrivals, jitters = _draw_inputs(
+        workload, n_queries, qps, seed, ccfg, prediction
     )
-    arrivals = poisson_arrival_times(n_queries, qps, rngs.get("arrivals"))
-    jitter_rng = rngs.get("shard-jitter")
-    sigma = ccfg.demand_jitter_sigma
-    jitters = [
-        (
-            jitter_rng.lognormal(-sigma**2 / 2.0, sigma, size=ccfg.num_isns)
-            if sigma > 0
-            else np.ones(ccfg.num_isns)
-        )
-        for _ in range(n_queries)
-    ]
 
     resilient = (fault_spec is not None and not fault_spec.is_noop) or (
         hedge_policy is not None and not hedge_policy.is_noop(ccfg.num_isns)
@@ -232,149 +268,50 @@ def run_cluster_experiment(
             fault_spec=fault_spec, hedge_policy=hedge_policy,
         )
 
-    effective_workers = resolve_worker_count(workers)
-    if effective_workers > 1 and ccfg.num_isns > 1:
-        return _run_decomposed(
-            workload, policy_name, qps, n_queries,
-            ccfg, scfg, policy_config, target_table, load_metric,
-            logical, arrivals, jitters, effective_workers, progress,
-        )
-
-    engine = Engine()
-    aggregator = Aggregator(ccfg.num_isns, ccfg.network_overhead_ms)
-
-    servers: list[Server] = []
-    for isn in range(ccfg.num_isns):
-        policy = make_policy(
-            policy_name,
-            speedup_book=workload.speedup_book,
-            group_weights=workload.group_weights,
-            target_table=target_table,
-            policy_config=policy_config,
-            load_metric=load_metric,
-        )
-
-        def on_isn_complete(request: Request, isn: int = isn) -> None:
-            aggregator.on_isn_complete(request.rid, engine.now, isn)
-
-        servers.append(
-            Server(
-                scfg,
-                policy,
-                engine=engine,
-                completion_callback=on_isn_complete,
-            )
-        )
-
-    for request, at, jitter in zip(logical, arrivals, jitters):
-        replicas = [
-            Request(
-                rid=request.rid,
-                demand_ms=float(request.demand_ms * jitter[i]),
-                predicted_ms=request.predicted_ms,
-                speedup=request.speedup,
-            )
-            for i in range(ccfg.num_isns)
-        ]
-
-        def fan_out(
-            at_ms: float = float(at),
-            reps: list[Request] = replicas,
-            qid: int = request.rid,
-        ) -> None:
-            aggregator.begin(qid, at_ms)
-            for server, replica in zip(servers, reps):
-                server.submit(replica)
-
-        engine.schedule_at(float(at), fan_out)
-
-    while aggregator.completed < n_queries:
-        if not engine.step():
-            raise SimulationError(
-                f"engine drained with {aggregator.completed}/{n_queries} "
-                "queries aggregated"
-            )
-
-    return ClusterExperimentResult(
-        policy_name=policy_name,
-        qps=qps,
-        num_isns=ccfg.num_isns,
-        aggregator_latencies_ms=np.asarray(aggregator.latencies_ms),
-        isn_latencies_ms=np.asarray(aggregator.isn_latencies_ms),
-        isn_recorders=[s.recorder for s in servers],
+    num_isns = ccfg.num_isns
+    groups = min(resolve_worker_count(workers), num_isns)
+    queries = tuple(
+        (r.rid, r.demand_ms, r.predicted_ms, r.speedup) for r in logical
     )
-
-
-def _run_decomposed(
-    workload: SearchWorkload,
-    policy_name: str,
-    qps: float,
-    n_queries: int,
-    ccfg: ClusterConfig,
-    scfg: ServerConfig,
-    policy_config: PolicyConfig | None,
-    target_table: TargetTable | None,
-    load_metric: LoadMetric,
-    logical,
-    arrivals: np.ndarray,
-    jitters: list[np.ndarray],
-    workers: int,
-    progress: Callable[[int, int], None] | None,
-) -> ClusterExperimentResult:
-    """Fan the per-ISN simulations across the exec process pool."""
-    entries = target_table.entries if target_table is not None else None
-    arrival_tuple = tuple(float(a) for a in arrivals)
+    jitter_matrix = np.stack(jitters)
     tasks = [
-        _IsnTask(
-            isn=isn,
+        _IsnGroup(
+            first_isn=int(isns[0]),
             server_config=scfg,
             policy_name=policy_name,
             policy_config=policy_config,
             load_metric=load_metric,
-            target_entries=entries,
+            target_table=target_table,
             speedup_book=workload.speedup_book,
-            group_weights=tuple(workload.group_weights),
-            replicas=tuple(
-                (
-                    request.rid,
-                    float(request.demand_ms * jitters[q][isn]),
-                    request.predicted_ms,
-                    request.speedup,
-                )
-                for q, request in enumerate(logical)
-            ),
-            arrivals_ms=arrival_tuple,
+            group_weights=workload.group_weights,
+            queries=queries,
+            arrivals_ms=arrivals,
+            jitters=jitter_matrix[:, isns],
         )
-        for isn in range(ccfg.num_isns)
+        for isns in np.array_split(np.arange(num_isns), groups)
     ]
-    runs = run_tasks(_run_single_isn, tasks, workers=workers, progress=progress)
-    finishes = np.stack([f for f, _ in runs])  # (num_isns, n_queries)
-    recorders = [rec for _, rec in runs]
+    runs = run_tasks(_run_isn_group, tasks, workers=groups)
+    finishes = np.concatenate([f for f, _ in runs])  # (num_isns, n_queries)
+    recorders = [rec for _, recs in runs for rec in recs]
 
-    arrivals_arr = np.asarray(arrivals, dtype=np.float64)
-    responses = finishes - arrivals_arr[np.newaxis, :]  # per-replica latency
-    slowest = finishes.max(axis=0)
-    # The shared-engine aggregator emits each query when its last
-    # replica completes: ascending slowest-finish order (qid breaks the
-    # measure-zero ties).
-    emit_order = np.lexsort((np.arange(n_queries), slowest))
-    aggregator_latencies = (
-        slowest[emit_order]
-        - arrivals_arr[emit_order]
-        + ccfg.network_overhead_ms
-    )
+    # An aggregator emits each query when its last replica completes:
+    # ascending slowest-finish order, qid breaking the measure-zero ties.
     # Within one query, replica responses arrive in completion-time
-    # order (ISN index breaks exact ties, matching fan-out order).
-    isn_latencies: list[float] = []
-    for q in emit_order:
-        col_order = np.lexsort((np.arange(ccfg.num_isns), finishes[:, q]))
-        isn_latencies.extend(responses[col_order, q].tolist())
+    # order, ISN index breaking exact ties (fan-out order).
+    responses = finishes - arrivals[np.newaxis, :]  # per-replica latency
+    slowest = finishes.max(axis=0)
+    emit_order = np.argsort(slowest, kind="stable")
+    aggregator_latencies = (
+        slowest[emit_order] - arrivals[emit_order] + ccfg.network_overhead_ms
+    )
+    by_finish = np.argsort(finishes, axis=0, kind="stable")
+    isn_latencies = np.take_along_axis(responses, by_finish, axis=0)
 
     return ClusterExperimentResult(
         policy_name=policy_name,
         qps=qps,
-        num_isns=ccfg.num_isns,
+        num_isns=num_isns,
         aggregator_latencies_ms=aggregator_latencies,
-        isn_latencies_ms=np.asarray(isn_latencies, dtype=np.float64),
+        isn_latencies_ms=isn_latencies[:, emit_order].T.ravel(),
         isn_recorders=recorders,
     )

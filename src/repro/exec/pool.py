@@ -235,35 +235,16 @@ def run_tasks(
     fn: Callable[[T], R],
     items: Iterable[T],
     workers: int | None = None,
-    progress: Callable[[int, int], None] | None = None,
 ) -> list[R]:
     """Generic deterministic fan-out used by non-cell work (cluster ISNs).
 
     Applies a picklable module-level function to every item, inline for
     one worker or over a process pool otherwise, returning results in
-    item order.  ``progress`` (if given) receives ``(completed,
-    total)``.
+    item order.
     """
     todo = list(items)
-    total = len(todo)
     workers = resolve_worker_count(workers)
-    results: list[R | None] = [None] * total
-    completed = 0
-    if workers <= 1 or total <= 1:
-        for i, item in enumerate(todo):
-            results[i] = fn(item)
-            completed += 1
-            if progress is not None:
-                progress(completed, total)
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, total)) as pool:
-            futures = {pool.submit(fn, item): i for i, item in enumerate(todo)}
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                for future in done:
-                    results[futures[future]] = future.result()
-                    completed += 1
-                    if progress is not None:
-                        progress(completed, total)
-    return results  # type: ignore[return-value]
+    if workers <= 1 or len(todo) <= 1:
+        return [fn(item) for item in todo]
+    with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
+        return list(pool.map(fn, todo))

@@ -14,7 +14,8 @@ near-free.
 The outcome is a versioned ``BENCH_gate.json`` report (git SHA,
 pass/fail per check, measured value vs. band, timings) plus a
 human-readable summary.  Baselines for machine-relative bands live
-under ``benchmarks/baselines/`` and are refreshed with
+in ``benchmarks/baselines/gate_baseline.json`` (read and written
+through :mod:`repro.artifacts`) and are refreshed with
 ``python -m repro.gate --update-baselines``.
 
 Run it locally::
@@ -25,11 +26,6 @@ Run it locally::
 """
 
 from .bands import Band, EvaluatedMeasurement, Measurement
-from .baselines import (
-    default_baselines_path,
-    load_baselines,
-    save_baselines,
-)
 from .checks import (
     CHECKS,
     GATE_SEED,
@@ -59,7 +55,4 @@ __all__ = [
     "demand_measurements",
     "ordering_measurements",
     "run_gate",
-    "load_baselines",
-    "save_baselines",
-    "default_baselines_path",
 ]

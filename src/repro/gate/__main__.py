@@ -11,18 +11,12 @@ import argparse
 import sys
 from typing import Sequence
 
+from ..artifacts import baseline_path, load_baseline, merge_baseline, write_json
 from ..errors import ConfigError, ReproError
 from ..exec.cache import ResultCache
 from ..exec.pool import log_progress
-from .baselines import (
-    default_baselines_path,
-    load_baselines,
-    merge_baselines,
-    save_baselines,
-)
 from .checks import CHECKS, scale_for_mode
-from .report import git_sha
-from .runner import baseline_metrics, run_gate
+from .runner import BASELINE_FILENAME, baseline_metrics, run_gate
 
 __all__ = ["main"]
 
@@ -111,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help=(
             "baseline JSON for relative bands "
-            f"(default {default_baselines_path()})"
+            f"(default {baseline_path(BASELINE_FILENAME)})"
         ),
     )
     parser.add_argument(
@@ -185,12 +179,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     print(f"\nreport written to {path}")
 
     if args.update_baselines:
-        metrics = baseline_metrics(report)
-        document = load_baselines(args.baselines)
-        target = save_baselines(
-            merge_baselines(document, args.mode, metrics, git_sha()),
-            args.baselines,
-        )
+        metrics = {k: round(v, 6) for k, v in baseline_metrics(report).items()}
+        target = args.baselines or baseline_path(BASELINE_FILENAME)
+        document = merge_baseline(load_baseline(target), args.mode, metrics)
+        write_json(document, target)
         print(f"baselines for mode={args.mode} updated at {target}")
 
     if report.status == "pass":

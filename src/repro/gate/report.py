@@ -9,54 +9,17 @@ from the artifact alone.
 
 from __future__ import annotations
 
-import json
-import platform
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from ..artifacts import SCHEMA_VERSION, environment, write_json
 from .bands import EvaluatedMeasurement
 
 __all__ = [
-    "REPORT_SCHEMA_VERSION",
     "CheckReport",
     "GateReport",
-    "git_sha",
 ]
-
-REPORT_SCHEMA_VERSION = 1
-
-
-def git_sha(repo_root: str | Path | None = None) -> str:
-    """The current commit hash, or ``"unknown"`` outside a checkout."""
-    root = Path(repo_root) if repo_root is not None else Path.cwd()
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=root,
-            capture_output=True,
-            text=True,
-            timeout=10,
-            check=False,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
-
-
-def _environment() -> dict[str, Any]:
-    import numpy
-
-    import repro
-
-    return {
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "repro": getattr(repro, "__version__", "unknown"),
-        "platform": platform.platform(),
-    }
 
 
 @dataclass
@@ -101,7 +64,7 @@ class GateReport:
     payload_hits: int
     sha: str = "unknown"
     baselines_used: bool = False
-    environment: dict[str, Any] = field(default_factory=_environment)
+    environment: dict[str, Any] = field(default_factory=environment)
 
     @property
     def passed(self) -> bool:
@@ -128,7 +91,7 @@ class GateReport:
             "errored": sum(1 for c in self.checks if c.status == "error"),
         }
         return {
-            "schema_version": REPORT_SCHEMA_VERSION,
+            "schema_version": SCHEMA_VERSION,
             "generated_by": "repro.gate",
             "git_sha": self.sha,
             "mode": self.mode,
@@ -146,17 +109,9 @@ class GateReport:
             "checks": [c.as_dict() for c in self.checks],
         }
 
-    def to_json(self) -> str:
-        """Canonical serialisation (stable key order, trailing newline)."""
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
     def write(self, path: str | Path) -> Path:
         """Write ``BENCH_gate.json`` to ``path``; returns the path."""
-        target = Path(path)
-        if target.parent != Path("."):
-            target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(self.to_json(), encoding="utf-8")
-        return target
+        return write_json(self.to_json_dict(), path)
 
     def render_summary(self) -> str:
         """The human-readable verdict printed after a run."""

@@ -14,16 +14,25 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Mapping, Sequence
 
+from ..artifacts import baseline_mode, baseline_path, git_sha, load_baseline
 from ..errors import ConfigError
 from ..exec.cache import ResultCache
 from ..exec.pool import ProgressEvent, run_sweep
 from ..exec.spec import CellResult, CellSpec
 from .bands import EvaluatedMeasurement, Measurement, evaluate_measurement
-from .baselines import load_baselines
 from .checks import CHECKS, GateCheck, GateScale, scale_for_mode
-from .report import CheckReport, GateReport, git_sha
+from .report import CheckReport, GateReport
 
-__all__ = ["GateContext", "run_gate", "select_checks", "baseline_metrics"]
+__all__ = [
+    "BASELINE_FILENAME",
+    "GateContext",
+    "run_gate",
+    "select_checks",
+    "baseline_metrics",
+]
+
+#: The gate's baseline file under ``benchmarks/baselines/``.
+BASELINE_FILENAME = "gate_baseline.json"
 
 
 class GateContext:
@@ -144,7 +153,8 @@ def run_gate(
     if cache is None and use_cache:
         cache = ResultCache()
     if baselines is None:
-        baselines = load_baselines(baselines_path, mode=mode)
+        path = baselines_path or baseline_path(BASELINE_FILENAME)
+        baselines = baseline_mode(load_baseline(path), mode)
 
     # Union of every declared cell, first-declaration order, deduped
     # by content hash so shared cells simulate (and cache) once.

@@ -3,23 +3,22 @@
 Microbenchmarks at three integration depths (bare engine, server under
 load, end-to-end experiment cell), a best-of-N runner with peak-RSS
 and cProfile hooks, and a JSON report (``BENCH_perf.json``) gated
-against checked-in throughput baselines.  Run with::
+against checked-in throughput baselines — the repository's one
+throughput gate.  Run with::
 
     python -m repro.perf --fast
 
-The ``server_under_load`` scenario is the single source of the
-fidelity gate's ``perf_budget`` hot-path benchmark —
-:mod:`repro.gate.checks` imports it from here.
+The ``server_under_load`` scenario is also the fidelity gate's
+``perf_budget`` hot-path benchmark — :mod:`repro.gate.checks` imports
+it from here and pins its event count, not its speed.
 """
 
 from .report import (
-    DEFAULT_BASELINE_PATH,
+    BASELINE_FILENAME,
     DEFAULT_REGRESSION_THRESHOLD,
     build_report,
     compare_to_baseline,
-    load_baseline,
     update_baseline,
-    write_report,
 )
 from .runner import ScenarioRun, peak_rss_kb, run_scenario
 from .scenarios import (
@@ -50,10 +49,8 @@ __all__ = [
     "run_scenario",
     "peak_rss_kb",
     "build_report",
-    "write_report",
-    "load_baseline",
     "update_baseline",
     "compare_to_baseline",
-    "DEFAULT_BASELINE_PATH",
+    "BASELINE_FILENAME",
     "DEFAULT_REGRESSION_THRESHOLD",
 ]

@@ -17,14 +17,13 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..artifacts import baseline_path, load_baseline, write_json
 from .report import (
-    DEFAULT_BASELINE_PATH,
+    BASELINE_FILENAME,
     DEFAULT_REGRESSION_THRESHOLD,
     build_report,
     compare_to_baseline,
-    load_baseline,
     update_baseline,
-    write_report,
 )
 from .runner import run_scenario
 from .scenarios import SCENARIOS, scenario
@@ -58,8 +57,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--baseline",
-        default=str(DEFAULT_BASELINE_PATH),
-        help="baseline JSON path",
+        default=str(baseline_path(BASELINE_FILENAME)),
+        help="baseline JSON path (default: %(default)s)",
     )
     parser.add_argument(
         "--update-baselines",
@@ -109,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
         runs.append(run)
 
     report = build_report(runs, fast=args.fast)
-    write_report(report, args.output)
+    write_json(report, args.output)
     print(f"[perf] wrote {args.output}")
 
     if args.update_baselines:
@@ -117,14 +116,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[perf] baseline updated: {args.baseline}")
         return 0
 
-    failures = compare_to_baseline(
-        report, load_baseline(args.baseline), args.regression_threshold
-    )
+    baseline = load_baseline(args.baseline)
+    if baseline is None:
+        print(f"[perf] no baseline file at {args.baseline}: nothing was compared")
+        return 0
+    failures = compare_to_baseline(report, baseline, args.regression_threshold)
     for message in failures:
         print(f"[perf] REGRESSION {message}", file=sys.stderr)
     if failures:
         return 1
-    print("[perf] no regressions against baseline")
+    print(f"[perf] no regressions against {args.baseline}")
     return 0
 
 

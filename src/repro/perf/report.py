@@ -1,14 +1,13 @@
 """BENCH_perf.json assembly and baseline regression gating.
 
-The report schema (version 1):
+The report (:mod:`repro.artifacts` stamp plus the body below):
 
 .. code-block:: json
 
     {
-      "schema": 1,
+      "schema_version": 1, "generated_by": "repro.perf",
+      "git_sha": "...", "environment": {...},
       "mode": "fast",
-      "python": "3.12.3",
-      "platform": "linux",
       "pre_pr_reference": {"events_per_s": 42539.0, "scenario": "..."},
       "scenarios": {
         "server_under_load": {
@@ -20,41 +19,40 @@ The report schema (version 1):
       }
     }
 
-Baselines mirror the fidelity gate's: a small JSON checked into
-``benchmarks/baselines/perf_baseline.json`` holding each scenario's
-throughput per mode, refreshed via ``--update-baselines``.  The CI
-perf job fails when any scenario's throughput drops more than the
-regression threshold (default 30 %) below its baseline — loose enough
-for CI machine jitter, tight enough to catch real hot-path
-regressions.
+The baseline, ``benchmarks/baselines/perf_baseline.json``, holds each
+scenario's throughput per mode in the shared baseline document and is
+refreshed via ``--update-baselines``.  This is the repository's one
+throughput gate: a run fails when any scenario's throughput drops more
+than the regression threshold (default 30 %) below its baseline —
+loose enough for CI machine jitter, tight enough to catch real
+hot-path regressions.
 """
 
 from __future__ import annotations
 
-import json
-import platform
-import sys
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from ..errors import ConfigError
+from ..artifacts import (
+    baseline_mode,
+    load_baseline,
+    merge_baseline,
+    stamp,
+    write_json,
+)
 from .runner import ScenarioRun
 from .scenarios import PRE_PR_EVENTS_PER_S, SCENARIOS
 
 __all__ = [
-    "DEFAULT_BASELINE_PATH",
+    "BASELINE_FILENAME",
     "DEFAULT_REGRESSION_THRESHOLD",
     "build_report",
-    "write_report",
-    "load_baseline",
     "update_baseline",
     "compare_to_baseline",
 ]
 
-SCHEMA_VERSION = 1
-
-#: Checked-in throughput baselines, next to the gate's.
-DEFAULT_BASELINE_PATH = Path("benchmarks/baselines/perf_baseline.json")
+#: The perf baseline file under ``benchmarks/baselines/``.
+BASELINE_FILENAME = "perf_baseline.json"
 
 #: Maximum tolerated relative throughput drop before CI fails.
 DEFAULT_REGRESSION_THRESHOLD = 0.30
@@ -82,10 +80,8 @@ def build_report(runs: Sequence[ScenarioRun], fast: bool) -> dict:
         entry["throughput_key"] = spec.throughput_key
         scenarios[run.name] = entry
     return {
-        "schema": SCHEMA_VERSION,
+        **stamp("repro.perf"),
         "mode": mode,
-        "python": platform.python_version(),
-        "platform": sys.platform,
         "pre_pr_reference": {
             "scenario": "server_under_load",
             "events_per_s": pre_pr,
@@ -96,44 +92,23 @@ def build_report(runs: Sequence[ScenarioRun], fast: bool) -> dict:
     }
 
 
-def write_report(report: Mapping, path: str | Path) -> None:
-    """Write the report as pretty-printed JSON."""
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
-def load_baseline(path: str | Path = DEFAULT_BASELINE_PATH) -> dict | None:
-    """Load the perf baseline, or None when it does not exist yet."""
-    p = Path(path)
-    if not p.exists():
-        return None
-    try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"corrupt perf baseline {p}: {exc}") from exc
-
-
-def update_baseline(
-    report: Mapping, path: str | Path = DEFAULT_BASELINE_PATH
-) -> dict:
+def update_baseline(report: Mapping, path: str | Path) -> dict:
     """Refresh the baseline's entries for the report's mode.
 
     Other modes' entries are preserved, so ``--fast
     --update-baselines`` never clobbers the full-mode baseline.
     """
-    path = Path(path)
-    baseline = load_baseline(path) or {"schema": SCHEMA_VERSION, "modes": {}}
-    mode_entry: dict[str, dict] = {}
-    for name, entry in report["scenarios"].items():
-        key = entry["throughput_key"]
-        mode_entry[name] = {
-            "throughput_key": key,
-            "throughput": entry[key],
+    entries = {
+        name: {
+            "throughput_key": entry["throughput_key"],
+            "throughput": entry[entry["throughput_key"]],
             "size": entry["size"],
         }
-    baseline["modes"][report["mode"]] = mode_entry
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
-    return baseline
+        for name, entry in report["scenarios"].items()
+    }
+    document = merge_baseline(load_baseline(path), report["mode"], entries)
+    write_json(document, path)
+    return document
 
 
 def compare_to_baseline(
@@ -148,13 +123,10 @@ def compare_to_baseline(
     size.  Scenarios absent from the baseline — or a missing baseline
     entirely — are skipped, so adding a scenario never fails CI before
     its baseline lands.  Size mismatches are skipped too: throughput
-    at different sizes is not comparable.
+    at different sizes is not comparable.  The CLI says so when no
+    baseline file exists.
     """
-    if baseline is None:
-        return []
-    mode_entry = baseline.get("modes", {}).get(report["mode"])
-    if not mode_entry:
-        return []
+    mode_entry = baseline_mode(baseline, report["mode"])
     failures: list[str] = []
     for name, entry in report["scenarios"].items():
         base = mode_entry.get(name)

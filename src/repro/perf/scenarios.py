@@ -129,7 +129,7 @@ def run_hotpath_benchmark(
     server = Server(ServerConfig(), policy, engine=engine)
     if observation is not None:
         observation.attach(server)
-    client = OpenLoopClient([server])
+    client = OpenLoopClient(server)
     started = time.perf_counter()
     client.schedule_trace(engine, requests, 500.0, rngs.get("arrivals"))
     server.run_to_completion(n_requests)

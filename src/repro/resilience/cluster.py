@@ -3,12 +3,15 @@
 :func:`run_shared_resilient` is the coupled counterpart of the plain
 cluster experiment: faults are wall-clock windows on the shared
 simulation clock and hedges move replicas between ISNs, so the run
-cannot decompose into independent per-ISN simulations.  All shared
-randomness (trace, arrivals, demand jitters) is drawn by the caller —
-:func:`repro.cluster.cluster.run_cluster_experiment` — in the exact
-stream order of the plain path, so a no-op fault spec and a no-op
-hedge policy would reproduce the plain run bit-for-bit (and the plain
-path is used in that case).
+cannot split into independent groups of ISNs and simulates all of
+them on one engine, with the :class:`~repro.cluster.aggregator.Aggregator`
+merging their answers.  All shared randomness (trace, arrivals, demand
+jitters) is drawn by the caller —
+:func:`repro.cluster.cluster.run_cluster_experiment` — exactly as for
+the plain path.  Forced to run under ``FaultSpec.none()`` and
+``HedgePolicy()`` it reproduces the plain run bit for bit (a
+differential test pins this); ``run_cluster_experiment`` itself takes
+the plain path whenever both options are no-ops.
 
 Replica bookkeeping
 -------------------

@@ -10,7 +10,7 @@ a real queue instead of back-pressuring the client.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -36,38 +36,14 @@ def poisson_arrival_times(
 
 
 class OpenLoopClient:
-    """Schedules a request trace onto one or more servers.
+    """Schedules a request trace onto one server.
 
-    Parameters
-    ----------
-    servers:
-        Target servers.  With one server every request goes to it; with
-        several, ``fanout=True`` sends each request to *all* servers
-        (partition-aggregate, Figure 1) while ``fanout=False`` is
-        round-robin.
-    make_replica:
-        Cluster hook: called as ``make_replica(request, server_index)``
-        to derive the per-ISN replica of a logical request (per-shard
-        demand jitter).  Defaults to sending the same Request object,
-        which is only valid for a single server.
+    Cluster fan-out (one replica per ISN) lives in
+    :mod:`repro.cluster.cluster`, not here.
     """
 
-    def __init__(
-        self,
-        servers: Sequence[Server],
-        fanout: bool = False,
-        make_replica: Callable[[Request, int], Request] | None = None,
-    ) -> None:
-        if not servers:
-            raise WorkloadError("at least one server required")
-        if fanout and len(servers) > 1 and make_replica is None:
-            raise WorkloadError(
-                "fanout to multiple servers requires make_replica to clone "
-                "requests per ISN"
-            )
-        self.servers = list(servers)
-        self.fanout = fanout
-        self.make_replica = make_replica
+    def __init__(self, server: Server) -> None:
+        self.server = server
 
     def schedule_trace(
         self,
@@ -78,28 +54,14 @@ class OpenLoopClient:
     ) -> int:
         """Schedule all requests as a Poisson process at ``qps``.
 
-        Returns the number of logical requests scheduled.
+        Returns the number of requests scheduled.
         """
         request_list = list(requests)
         times = poisson_arrival_times(len(request_list), qps, rng)
-        for i, (request, at) in enumerate(zip(request_list, times)):
-            self._schedule_one(engine, request, float(at), i)
+        submit = self.server.submit
+        for request, at in zip(request_list, times):
+            engine.schedule_at(float(at), lambda r=request: submit(r))
         return len(request_list)
-
-    def _schedule_one(
-        self, engine: Engine, request: Request, at_ms: float, index: int
-    ) -> None:
-        if self.fanout:
-            for s_idx, server in enumerate(self.servers):
-                replica = (
-                    self.make_replica(request, s_idx)
-                    if self.make_replica is not None
-                    else request
-                )
-                engine.schedule_at(at_ms, lambda s=server, r=replica: s.submit(r))
-        else:
-            server = self.servers[index % len(self.servers)]
-            engine.schedule_at(at_ms, lambda s=server, r=request: s.submit(r))
 
 
 def replay_trace(
@@ -113,6 +75,6 @@ def replay_trace(
     Schedules ``requests`` at ``qps`` on ``server`` and drives the
     engine until every request completes.
     """
-    client = OpenLoopClient([server])
+    client = OpenLoopClient(server)
     n = client.schedule_trace(server.engine, requests, qps, rng)
     server.run_to_completion(n)

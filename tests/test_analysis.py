@@ -51,7 +51,7 @@ class TestQueueingIdentities:
             make_request(i, float(d))
             for i, d in enumerate(rng.exponential(12.0, n) + 0.5)
         ]
-        client = OpenLoopClient([server])
+        client = OpenLoopClient(server)
         client.schedule_trace(server.engine, reqs, qps, rng)
 
         # Integrate concurrency over time by sampling busy requests.

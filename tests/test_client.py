@@ -34,55 +34,12 @@ class TestOpenLoopClient:
     def test_single_server_receives_all(self, rng):
         engine = Engine()
         server = Server(ServerConfig(), FixedDegreePolicy(1), engine=engine)
-        client = OpenLoopClient([server])
+        client = OpenLoopClient(server)
         reqs = [make_request(i, 5.0) for i in range(10)]
         n = client.schedule_trace(engine, reqs, qps=1000.0, rng=rng)
         assert n == 10
         server.run_to_completion(10)
         assert server.completed_count == 10
-
-    def test_round_robin_across_servers(self, rng):
-        engine = Engine()
-        servers = [
-            Server(ServerConfig(), FixedDegreePolicy(1), engine=engine)
-            for _ in range(2)
-        ]
-        client = OpenLoopClient(servers, fanout=False)
-        reqs = [make_request(i, 5.0) for i in range(10)]
-        client.schedule_trace(engine, reqs, 1000.0, rng)
-        engine.run()
-        assert servers[0].completed_count == 5
-        assert servers[1].completed_count == 5
-
-    def test_fanout_requires_replica_factory(self):
-        engine = Engine()
-        servers = [
-            Server(ServerConfig(), FixedDegreePolicy(1), engine=engine)
-            for _ in range(2)
-        ]
-        with pytest.raises(WorkloadError):
-            OpenLoopClient(servers, fanout=True)
-
-    def test_fanout_clones_to_every_server(self, rng):
-        engine = Engine()
-        servers = [
-            Server(ServerConfig(), FixedDegreePolicy(1), engine=engine)
-            for _ in range(3)
-        ]
-        client = OpenLoopClient(
-            servers,
-            fanout=True,
-            make_replica=lambda req, idx: make_request(req.rid, req.demand_ms),
-        )
-        reqs = [make_request(i, 5.0) for i in range(4)]
-        client.schedule_trace(engine, reqs, 1000.0, rng)
-        engine.run()
-        for server in servers:
-            assert server.completed_count == 4
-
-    def test_empty_server_list_rejected(self):
-        with pytest.raises(WorkloadError):
-            OpenLoopClient([])
 
 
 class TestReplayTrace:

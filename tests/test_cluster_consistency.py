@@ -1,10 +1,29 @@
 """Cross-ISN consistency properties of the cluster simulation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.cluster import run_cluster_experiment
 from repro.config import ClusterConfig
+
+RECORDER_FIELDS = (
+    "responses_ms", "queueing_ms", "executions_ms", "demands_ms",
+    "predictions_ms", "initial_degrees", "max_degrees", "corrected",
+)
+
+
+def assert_same_cluster_run(a, b):
+    """Two cluster results agree bit for bit, recorders included."""
+    np.testing.assert_array_equal(
+        a.aggregator_latencies_ms, b.aggregator_latencies_ms
+    )
+    np.testing.assert_array_equal(a.isn_latencies_ms, b.isn_latencies_ms)
+    assert len(a.isn_recorders) == len(b.isn_recorders)
+    for ra, rb in zip(a.isn_recorders, b.isn_recorders):
+        for name in RECORDER_FIELDS:
+            assert getattr(ra, name) == getattr(rb, name), name
 
 
 @pytest.fixture(scope="module")
@@ -77,29 +96,43 @@ class TestClusterConsistency:
     def test_parallel_matches_serial_bit_for_bit(
         self, tiny_search_workload, target_table
     ):
-        # The decomposed per-ISN fan-out (workers > 1) must reproduce
-        # the shared-engine run exactly: same aggregator latencies,
-        # same per-replica latencies, same per-ISN recorders.
+        # Splitting the ISNs into worker groups — here uneven ones,
+        # 5 ISNs over 2 and 3 groups — must reproduce the one-group run
+        # exactly: same aggregator latencies, same per-replica
+        # latencies, same per-ISN recorders.
         kwargs = dict(
             qps=200.0, n_queries=150, seed=23,
-            cluster_config=ClusterConfig(num_isns=3),
+            cluster_config=ClusterConfig(num_isns=5),
             target_table=target_table,
         )
         serial = run_cluster_experiment(
             tiny_search_workload, "TPC", workers=1, **kwargs
         )
-        parallel = run_cluster_experiment(
-            tiny_search_workload, "TPC", workers=2, **kwargs
+        for workers in (2, 3):
+            parallel = run_cluster_experiment(
+                tiny_search_workload, "TPC", workers=workers, **kwargs
+            )
+            assert_same_cluster_run(serial, parallel)
+
+    def test_golden_cell_matches_pre_refactor_run(
+        self, tiny_search_workload, target_table
+    ):
+        # Captured before the serial shared-engine body and the per-ISN
+        # pool path were folded into one grouped body.
+        result = run_cluster_experiment(
+            tiny_search_workload, "TPC", qps=250.0, n_queries=500, seed=5,
+            cluster_config=ClusterConfig(num_isns=6),
+            target_table=target_table,
         )
-        np.testing.assert_array_equal(
-            serial.aggregator_latencies_ms, parallel.aggregator_latencies_ms
+        agg = np.asarray(result.aggregator_latencies_ms, dtype=np.float64)
+        isn = np.asarray(result.isn_latencies_ms, dtype=np.float64)
+        assert result.aggregator_percentile(50).hex() == "0x1.2590e23256a20p+3"
+        assert result.aggregator_percentile(99).hex() == "0x1.0260eddc827d8p+6"
+        assert float(agg.max()).hex() == "0x1.35096e29a7ab6p+7"
+        digest = hashlib.sha256(agg.tobytes() + isn.tobytes()).hexdigest()
+        assert digest == (
+            "601a66b87faa4329e05333b0b8ff307e4e5a360a19674aa764b9d2d6f6d994cc"
         )
-        np.testing.assert_array_equal(
-            serial.isn_latencies_ms, parallel.isn_latencies_ms
-        )
-        for a, b in zip(serial.isn_recorders, parallel.isn_recorders):
-            np.testing.assert_array_equal(a.responses_ms, b.responses_ms)
-            np.testing.assert_array_equal(a.max_degrees, b.max_degrees)
 
     def test_same_seed_reproducible(self, tiny_search_workload, target_table):
         kwargs = dict(

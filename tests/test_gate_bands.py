@@ -6,17 +6,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.artifacts import (
+    baseline_mode,
+    load_baseline,
+    merge_baseline,
+    write_json,
+)
 from repro.errors import ConfigError
 from repro.gate import (
     Band,
     Measurement,
     demand_measurements,
-    load_baselines,
     ordering_measurements,
-    save_baselines,
 )
 from repro.gate.bands import evaluate_measurement
-from repro.gate.baselines import merge_baselines
 from repro.gate.checks import (
     P99_PAIR_TOLERANCE,
     cluster_measurements,
@@ -198,38 +201,37 @@ class TestHotpath:
 
 class TestBaselines:
     def test_missing_file_degrades_to_empty(self, tmp_path):
-        assert load_baselines(tmp_path / "absent.json") == {}
-        assert load_baselines(tmp_path / "absent.json", mode="fast") == {}
+        assert load_baseline(tmp_path / "absent.json") is None
+        assert baseline_mode(load_baseline(tmp_path / "absent.json"), "fast") == {}
 
     def test_roundtrip_is_bit_stable(self, tmp_path):
         path = tmp_path / "gate_baseline.json"
-        document = merge_baselines(
-            {}, "fast", {"tpc_p99@450": 73.844862}, git_sha="abc123"
-        )
-        save_baselines(document, path)
+        document = merge_baseline(None, "fast", {"tpc_p99@450": 73.844862})
+        write_json(document, path)
         first = path.read_bytes()
-        loaded = load_baselines(path)
+        loaded = load_baseline(path)
         assert loaded == document
-        save_baselines(loaded, path)
+        write_json(loaded, path)
         assert path.read_bytes() == first
 
     def test_mode_view_and_merge_preserves_other_modes(self, tmp_path):
         path = tmp_path / "gate_baseline.json"
-        document = merge_baselines({}, "fast", {"x": 1.0})
-        document = merge_baselines(document, "full", {"x": 2.0})
-        save_baselines(document, path)
-        assert load_baselines(path, mode="fast") == {"x": 1.0}
-        assert load_baselines(path, mode="full") == {"x": 2.0}
-        assert load_baselines(path, mode="unknown") == {}
+        document = merge_baseline(None, "fast", {"x": 1.0})
+        document = merge_baseline(document, "full", {"x": 2.0})
+        write_json(document, path)
+        loaded = load_baseline(path)
+        assert baseline_mode(loaded, "fast") == {"x": 1.0}
+        assert baseline_mode(loaded, "full") == {"x": 2.0}
+        assert baseline_mode(loaded, "unknown") == {}
 
     def test_corrupt_file_raises_config_error(self, tmp_path):
         path = tmp_path / "gate_baseline.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError):
-            load_baselines(path)
+            load_baseline(path)
 
     def test_wrong_schema_raises_config_error(self, tmp_path):
         path = tmp_path / "gate_baseline.json"
         path.write_text('{"schema_version": 99, "modes": {}}')
         with pytest.raises(ConfigError):
-            load_baselines(path)
+            load_baseline(path)

@@ -268,7 +268,7 @@ class TestStreamingLatencyRecorder:
             engine = Engine()
             server = Server(ServerConfig(), policy, engine=engine,
                             recorder=recorder)
-            client = OpenLoopClient([server])
+            client = OpenLoopClient(server)
             import copy
             client.schedule_trace(engine, copy.deepcopy(reqs), 500.0,
                                   RngFactory(5).get("arrivals"))

@@ -4,17 +4,16 @@ import json
 
 import pytest
 
+from repro.artifacts import load_baseline, write_json
 from repro.errors import ConfigError
 from repro.perf import (
     HOTPATH_SEED,
     SCENARIOS,
     build_report,
     compare_to_baseline,
-    load_baseline,
     run_scenario,
     scenario,
     update_baseline,
-    write_report,
 )
 from repro.perf.runner import peak_rss_kb
 from repro.perf.scenarios import run_engine_only, run_server_under_load
@@ -102,8 +101,10 @@ class TestReportAndBaseline:
         assert entry["pre_pr_events_per_s"] > 0.0
         assert entry["peak_rss_kb"] > 0.0
         out = tmp_path / "BENCH_perf.json"
-        write_report(report, out)
-        assert json.loads(out.read_text())["schema"] == 1
+        write_json(report, out)
+        document = json.loads(out.read_text())
+        assert document["schema_version"] == 1
+        assert document["generated_by"] == "repro.perf"
 
     def test_baseline_roundtrip_and_mode_isolation(self, tmp_path):
         path = tmp_path / "perf_baseline.json"
@@ -205,3 +206,66 @@ class TestCli:
         entry["throughput"] = entry["throughput"] * 100.0
         baseline.write_text(json.dumps(doc))
         assert main(args) == 1
+
+    def test_default_baseline_found_from_any_directory(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.artifacts import baseline_path
+        from repro.perf import BASELINE_FILENAME
+
+        monkeypatch.chdir(tmp_path)
+        document = load_baseline(baseline_path(BASELINE_FILENAME))
+        assert document is not None
+        assert set(document["modes"]) == {"fast", "full"}
+
+    def test_cli_outside_repo_root_fails_on_doctored_default_baseline(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Run from a directory with no benchmarks/ tree: the default
+        # baseline must still be found (here: a doctored copy the
+        # source-tree resolution points at) and the run must fail.
+        import repro.artifacts
+        from repro.perf.__main__ import main
+
+        baselines = tmp_path / "baselines"
+        size = scenario("engine_only").size_for(True)
+        update_baseline(
+            {
+                "mode": "fast",
+                "scenarios": {
+                    "engine_only": {
+                        "throughput_key": "events_per_s",
+                        "events_per_s": 10.0**12,
+                        "size": size,
+                    }
+                },
+            },
+            baselines / "perf_baseline.json",
+        )
+        workdir = tmp_path / "elsewhere"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        monkeypatch.setattr(repro.artifacts, "BASELINE_DIR", baselines)
+        args = ["--fast", "--only", "engine_only", "--repeats", "1"]
+        assert main(args) == 1
+        assert "REGRESSION engine_only" in capsys.readouterr().err
+
+    def test_cli_says_when_nothing_was_compared(self, tmp_path, capsys):
+        from repro.perf.__main__ import main
+
+        absent = tmp_path / "absent.json"
+        args = [
+            "--fast",
+            "--only",
+            "engine_only",
+            "--repeats",
+            "1",
+            "--output",
+            str(tmp_path / "BENCH_perf.json"),
+            "--baseline",
+            str(absent),
+        ]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "nothing was compared" in out
+        assert "no regressions" not in out

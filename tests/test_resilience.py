@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import run_cluster_experiment
+from repro.cluster.cluster import _draw_inputs
 from repro.config import ClusterConfig, ServerConfig
 from repro.errors import ConfigError, SimulationError
 from repro.exec.cache import ResultCache
@@ -17,14 +18,19 @@ from repro.resilience import (
     HedgePolicy,
     sample_fault_spec,
 )
-from repro.resilience.cluster import ResilientClusterResult
+from repro.resilience.cluster import (
+    ResilientClusterResult,
+    run_shared_resilient,
+)
 from repro.resilience.scenarios import get_scenario, run_scenario
 from repro.rng import RngFactory
 from repro.sim.engine import Engine
+from repro.sim.load import LoadMetric
 from repro.sim.request import RequestState
 from repro.sim.server import Server
 
 from conftest import make_request
+from test_cluster_consistency import assert_same_cluster_run
 from test_server import FixedDegreePolicy
 
 
@@ -257,6 +263,30 @@ class TestResilientCluster:
         np.testing.assert_array_equal(
             plain.isn_latencies_ms, noop.isn_latencies_ms
         )
+
+    def test_noop_shared_engine_matches_plain_path(
+        self, tiny_search_workload, target_table
+    ):
+        # Differential test: the coupled shared-engine path, forced to
+        # run with no faults and no hedging on the plain path's
+        # pre-drawn trace, arrivals and jitters, reproduces the plain
+        # grouped path bit for bit.
+        ccfg = ClusterConfig(num_isns=8)
+        plain = run_cluster_experiment(
+            tiny_search_workload, "TPC", qps=300.0, n_queries=1_500, seed=17,
+            cluster_config=ccfg, target_table=target_table,
+        )
+        logical, arrivals, jitters = _draw_inputs(
+            tiny_search_workload, 1_500, 300.0, 17, ccfg, "model"
+        )
+        coupled = run_shared_resilient(
+            tiny_search_workload, "TPC", 300.0,
+            ccfg, ServerConfig(), None, target_table, LoadMetric.LONG_THREADS,
+            logical, arrivals, jitters,
+            fault_spec=FaultSpec.none(), hedge_policy=HedgePolicy(),
+        )
+        assert isinstance(coupled, ResilientClusterResult)
+        assert_same_cluster_run(plain, coupled)
 
     def test_single_isn_cluster_matches_plain_experiment(
         self, tiny_search_workload, target_table
@@ -556,16 +586,13 @@ class TestScenarios:
     def test_report_roundtrip(self, straggler_result, tmp_path):
         import json
 
-        from repro.resilience.report import (
-            build_report,
-            render_summary,
-            write_report,
-        )
+        from repro.artifacts import write_json
+        from repro.resilience.report import build_report, render_summary
 
         report = build_report([straggler_result])
         assert report["schema_version"] == 1
         assert report["status"] == "ok"
-        path = write_report(report, tmp_path / "BENCH_resilience.json")
+        path = write_json(report, tmp_path / "BENCH_resilience.json")
         loaded = json.loads(path.read_text())
         assert loaded["scenarios"][0]["name"] == "one-straggler"
         rows = loaded["scenarios"][0]["rows"]

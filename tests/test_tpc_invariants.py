@@ -31,7 +31,7 @@ def run_tpc(demands_preds, qps=400.0, seed=0, policy_cls=TPCPolicy,
         profile = book.profile_for(demand)
         reqs.append(make_request(i, demand, pred, profile))
     rng = np.random.default_rng(seed)
-    OpenLoopClient([server]).schedule_trace(server.engine, reqs, qps, rng)
+    OpenLoopClient(server).schedule_trace(server.engine, reqs, qps, rng)
     server.run_to_completion(len(reqs))
     return server, reqs
 
