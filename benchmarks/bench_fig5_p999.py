@@ -13,8 +13,8 @@ from repro.experiments.report import format_table
 POLICIES = ("Sequential", "WQ-Linear", "AP", "Pred", "TPC")
 
 
-def test_fig5_p999_vs_load(benchmark, main_sweep):
-    sweep = benchmark.pedantic(lambda: main_sweep, rounds=1, iterations=1)
+def test_fig5_p999_vs_load(main_sweep):
+    sweep = main_sweep
     grid = qps_grid()
     rows = [
         [int(qps)] + [round(sweep[p][i].p999_ms, 1) for p in POLICIES]

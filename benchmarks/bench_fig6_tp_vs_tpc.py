@@ -10,8 +10,8 @@ from conftest import emit, qps_grid
 from repro.experiments.report import format_table
 
 
-def test_fig6_tp_vs_tpc(benchmark, main_sweep):
-    sweep = benchmark.pedantic(lambda: main_sweep, rounds=1, iterations=1)
+def test_fig6_tp_vs_tpc(main_sweep):
+    sweep = main_sweep
     grid = qps_grid()
     rows = [
         [
@@ -47,10 +47,9 @@ def test_fig6_tp_vs_tpc(benchmark, main_sweep):
     assert max(p99_gaps) < max(p999_gaps)
 
 
-def test_correction_raises_long_query_degrees(benchmark, main_sweep):
+def test_correction_raises_long_query_degrees(main_sweep):
     """Section 4.3: correction increases the share of long queries that
     reach high (>3) parallelism degrees."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     grid = qps_grid()
     mid = len(grid) // 2
     tp = main_sweep["TP"][mid].degree_distribution()

@@ -125,8 +125,8 @@ def _execute_cell(spec: CellSpec) -> CellResult:
 
         return execute_cluster_cell(spec)
 
-    started = time.perf_counter()
     workload = memoised_workload(spec.workload)
+    started = time.perf_counter()
     result = run_search_experiment(
         workload,
         spec.policy_name,

@@ -1,7 +1,7 @@
 """Plain-text report formatting: the rows/series the paper prints.
 
 Benchmarks print their reproduced figure/table through these helpers so
-``pytest benchmarks/ --benchmark-only`` output reads like the paper's
+``pytest benchmarks/`` output reads like the paper's
 evaluation section.
 """
 

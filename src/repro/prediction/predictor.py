@@ -31,6 +31,33 @@ class PredictorReport:
     long_threshold_ms: float
     num_eval: int
 
+    @classmethod
+    def from_predictions(
+        cls,
+        predictions_ms: np.ndarray,
+        demands_ms: np.ndarray,
+        long_threshold_ms: float,
+    ) -> "PredictorReport":
+        """Score predictions against measured demands."""
+        predictions = np.asarray(predictions_ms, dtype=np.float64)
+        y = np.asarray(demands_ms, dtype=np.float64)
+        if len(predictions) != len(y):
+            raise PredictionError("predictions and demands must align")
+        predicted_long = predictions > long_threshold_ms
+        actual_long = y > long_threshold_ms
+        true_positive = int((predicted_long & actual_long).sum())
+        precision = (
+            true_positive / predicted_long.sum() if predicted_long.any() else 1.0
+        )
+        recall = true_positive / actual_long.sum() if actual_long.any() else 1.0
+        return cls(
+            l1_error_ms=float(np.abs(predictions - y).mean()),
+            precision=float(precision),
+            recall=float(recall),
+            long_threshold_ms=long_threshold_ms,
+            num_eval=len(y),
+        )
+
     def as_row(self) -> dict[str, float]:
         """Flat dict for tabular reports."""
         return {
@@ -93,24 +120,8 @@ class ExecutionTimePredictor:
         self, features: np.ndarray, demands_ms: np.ndarray
     ) -> PredictorReport:
         """L1 error plus long-query precision/recall on held-out data."""
-        y = np.asarray(demands_ms, dtype=np.float64)
-        predictions = self.predict(features)
-        if len(predictions) != len(y):
-            raise PredictionError("features and demands must align")
-        threshold = self.config.long_threshold_ms
-        predicted_long = predictions > threshold
-        actual_long = y > threshold
-        true_positive = int((predicted_long & actual_long).sum())
-        precision = (
-            true_positive / predicted_long.sum() if predicted_long.any() else 1.0
-        )
-        recall = true_positive / actual_long.sum() if actual_long.any() else 1.0
-        return PredictorReport(
-            l1_error_ms=float(np.abs(predictions - y).mean()),
-            precision=float(precision),
-            recall=float(recall),
-            long_threshold_ms=threshold,
-            num_eval=len(y),
+        return PredictorReport.from_predictions(
+            self.predict(features), demands_ms, self.config.long_threshold_ms
         )
 
     def _noisy(

@@ -1,14 +1,13 @@
 """Histogram-based CART regression tree (numpy only).
 
 Features are pre-binned into at most 256 quantile bins; each split
-search accumulates per-bin sums with ``np.bincount`` and scans the
+search builds every feature's per-bin counts and sums with one
+``np.bincount`` each over feature-offset codes and scans the
 variance-gain of every bin boundary — the same strategy LightGBM-class
 learners use, compact enough to implement and verify from scratch.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,20 +59,14 @@ class FeatureBinner:
         return len(self._edges[feature]) + 1
 
 
-@dataclass(frozen=True)
-class _Node:
-    """One tree node; leaves carry a value, internal nodes a split."""
-
-    feature: int
-    threshold_bin: int
-    left: int
-    right: int
-    value: float
-    is_leaf: bool
-
-
 class RegressionTree:
-    """A depth-bounded least-squares regression tree on binned features."""
+    """A depth-bounded least-squares regression tree on binned features.
+
+    The fitted tree is stored as flat per-node arrays (split feature,
+    threshold bin, left and right child, value); a leaf's children point
+    back to itself, so prediction is ``max_depth`` vectorised routing
+    steps with no per-node Python work.
+    """
 
     def __init__(self, max_depth: int = 4, min_samples_leaf: int = 8) -> None:
         if max_depth < 1:
@@ -82,12 +75,12 @@ class RegressionTree:
             raise PredictionError("min_samples_leaf must be >= 1")
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
-        self._nodes: list[_Node] = []
+        self._value = np.empty(0, dtype=np.float64)
 
     @property
     def num_nodes(self) -> int:
         """Total node count after fitting."""
-        return len(self._nodes)
+        return len(self._value)
 
     def fit(self, binned: np.ndarray, targets: np.ndarray) -> "RegressionTree":
         """Fit to binned features (uint8) and continuous targets."""
@@ -97,94 +90,97 @@ class RegressionTree:
             raise PredictionError("binned features and targets must align")
         if len(y) == 0:
             raise PredictionError("cannot fit a tree on zero samples")
-        self._nodes = []
-        self._grow(X, y, np.arange(len(y)), depth=0)
+        codes, width = _offset_codes(X)
+        nodes: list[list] = []
+        self._grow(codes, width, y, np.arange(len(y)), 0, nodes)
+        splits = np.array([node[:4] for node in nodes], dtype=np.intp)
+        self._feature, self._threshold, self._left, self._right = splits.T
+        self._value = np.array([node[4] for node in nodes], dtype=np.float64)
         return self
 
     def _grow(
-        self, X: np.ndarray, y: np.ndarray, rows: np.ndarray, depth: int
+        self,
+        codes: np.ndarray,
+        width: int,
+        y: np.ndarray,
+        rows: np.ndarray,
+        depth: int,
+        nodes: list[list],
     ) -> int:
-        node_id = len(self._nodes)
-        value = float(y[rows].mean())
-        self._nodes.append(_Node(-1, -1, -1, -1, value, True))
+        node_id = len(nodes)
+        nodes.append([0, 0, node_id, node_id, float(y[rows].mean())])
         if depth >= self.max_depth or len(rows) < 2 * self.min_samples_leaf:
             return node_id
-        split = self._best_split(X, y, rows)
+        split = self._best_split(codes, width, y, rows)
         if split is None:
             return node_id
         feature, threshold_bin = split
-        go_left = X[rows, feature] <= threshold_bin
-        left_rows = rows[go_left]
-        right_rows = rows[~go_left]
-        left_id = self._grow(X, y, left_rows, depth + 1)
-        right_id = self._grow(X, y, right_rows, depth + 1)
-        self._nodes[node_id] = _Node(
-            feature, threshold_bin, left_id, right_id, value, False
-        )
+        go_left = codes[rows, feature] <= threshold_bin + feature * width
+        left_id = self._grow(codes, width, y, rows[go_left], depth + 1, nodes)
+        right_id = self._grow(codes, width, y, rows[~go_left], depth + 1, nodes)
+        nodes[node_id][:4] = [feature, threshold_bin, left_id, right_id]
         return node_id
 
     def _best_split(
-        self, X: np.ndarray, y: np.ndarray, rows: np.ndarray
+        self, codes: np.ndarray, width: int, y: np.ndarray, rows: np.ndarray
     ) -> tuple[int, int] | None:
         y_rows = y[rows]
         n = len(rows)
+        num_features = codes.shape[1]
         total_sum = y_rows.sum()
-        best_gain = 1e-12
-        best: tuple[int, int] | None = None
-        for feature in range(X.shape[1]):
-            codes = X[rows, feature].astype(np.int64)
-            counts = np.bincount(codes)
-            if len(counts) < 2:
-                continue
-            sums = np.bincount(codes, weights=y_rows)
-            left_counts = np.cumsum(counts)[:-1]
-            left_sums = np.cumsum(sums)[:-1]
-            right_counts = n - left_counts
-            right_sums = total_sum - left_sums
-            valid = (left_counts >= self.min_samples_leaf) & (
-                right_counts >= self.min_samples_leaf
+        # Row-major ravel: every (feature, bin) sum accumulates in row
+        # order, as a per-feature bincount would.
+        flat = codes[rows].ravel()
+        size = num_features * width
+        counts = np.bincount(flat, minlength=size).reshape(num_features, width)
+        sums = np.bincount(
+            flat, weights=np.repeat(y_rows, num_features), minlength=size
+        ).reshape(num_features, width)
+        left_counts = np.cumsum(counts, axis=1)[:, :-1]
+        left_sums = np.cumsum(sums, axis=1)[:, :-1]
+        right_counts = n - left_counts
+        right_sums = total_sum - left_sums
+        valid = (left_counts >= self.min_samples_leaf) & (
+            right_counts >= self.min_samples_leaf
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = np.where(
+                valid,
+                left_sums**2 / left_counts
+                + right_sums**2 / right_counts
+                - total_sum**2 / n,
+                -np.inf,
             )
-            if not valid.any():
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gain = np.where(
-                    valid,
-                    left_sums**2 / left_counts
-                    + right_sums**2 / right_counts
-                    - total_sum**2 / n,
-                    -np.inf,
-                )
-            idx = int(np.argmax(gain))
-            if gain[idx] > best_gain:
-                best_gain = float(gain[idx])
-                best = (feature, idx)
-        return best
+        # The first maximum in row-major order is the lowest feature
+        # among tied gains, and its lowest bin.
+        best = int(np.argmax(gain))
+        if gain.flat[best] > 1e-12:
+            return divmod(best, width - 1)
+        return None
 
     def predict(self, binned: np.ndarray) -> np.ndarray:
         """Predict for binned features."""
-        if not self._nodes:
+        if not len(self._value):
             raise PredictionError("tree is not fitted")
         X = np.asarray(binned)
-        out = np.empty(len(X), dtype=np.float64)
-        # Vectorised level-by-level routing.
-        node_ids = np.zeros(len(X), dtype=np.int64)
-        active = np.arange(len(X))
-        while len(active):
-            still_internal = []
-            for nid in np.unique(node_ids[active]):
-                node = self._nodes[nid]
-                members = active[node_ids[active] == nid]
-                if node.is_leaf:
-                    out[members] = node.value
-                    continue
-                left = X[members, node.feature] <= node.threshold_bin
-                node_ids[members[left]] = node.left
-                node_ids[members[~left]] = node.right
-                still_internal.append(members)
-            active = (
-                np.concatenate(still_internal) if still_internal else np.empty(0, int)
-            )
-        return out
+        rows = np.arange(len(X))
+        node = np.zeros(len(X), dtype=np.intp)
+        for _ in range(self.max_depth):
+            go_left = X[rows, self._feature[node]] <= self._threshold[node]
+            node = np.where(go_left, self._left[node], self._right[node])
+        return self._value[node]
+
+
+def _offset_codes(binned: np.ndarray) -> tuple[np.ndarray, int]:
+    """Shift feature ``j``'s bin codes into ``[j * width, (j + 1) * width)``.
+
+    One ``np.bincount`` over the shifted codes then histograms every
+    feature at once; ``width`` is at least 2 so every feature has a bin
+    boundary to scan.
+    """
+    X = np.asarray(binned)
+    width = max(int(X.max()) + 1, 2)
+    return X.astype(np.intp) + np.arange(X.shape[1]) * width, width
 
 
 def _as_matrix(features: np.ndarray) -> np.ndarray:

@@ -40,8 +40,8 @@ def execute_cluster_cell(spec: CellSpec) -> CellResult:
     from .cluster import ResilientClusterResult
 
     assert spec.cluster_config is not None
-    started = time.perf_counter()
     workload = memoised_workload(spec.workload)
+    started = time.perf_counter()
     result = run_cluster_experiment(
         workload,
         spec.policy_name,

@@ -92,48 +92,24 @@ class SearchEngine:
         k = len(term_ids)
         min_match = 1 if k == 1 else (k + 1) // 2
 
-        posting_docs = []
-        posting_tfs = []
-        posting_terms = []
-        for term in term_ids:
-            docs, tfs = self.index.postings(int(term))
-            posting_docs.append(docs)
-            posting_tfs.append(tfs)
-            posting_terms.append(np.full(len(docs), term, dtype=np.int64))
+        postings = [self.index.postings(int(term)) for term in term_ids]
         all_docs = (
-            np.concatenate(posting_docs) if posting_docs else np.empty(0, np.int32)
+            np.concatenate([docs for docs, _ in postings])
+            if postings
+            else np.empty(0, np.int32)
         )
         total_postings = int(all_docs.size)
-
-        if total_postings == 0:
-            matched = 0
-            scored_hits = 0
-            results: tuple[tuple[int, float], ...] | None = (
-                () if compute_results else None
+        # A posting list holds a document at most once, so a document's
+        # keyword count is its multiplicity across the postings.
+        counts = np.bincount(all_docs)
+        survivors = counts >= min_match
+        matched = int(survivors.sum())
+        scored_hits = int(counts[survivors].sum())
+        results: tuple[tuple[int, float], ...] | None = None
+        if compute_results:
+            results = self._score_survivors(
+                term_ids, postings, all_docs, survivors
             )
-        else:
-            order = np.argsort(all_docs, kind="stable")
-            sorted_docs = all_docs[order]
-            boundary = np.empty(len(sorted_docs), dtype=bool)
-            boundary[0] = True
-            boundary[1:] = sorted_docs[1:] != sorted_docs[:-1]
-            starts = np.flatnonzero(boundary)
-            run_lengths = np.diff(np.append(starts, len(sorted_docs)))
-            survivors = run_lengths >= min_match
-            matched = int(survivors.sum())
-            scored_hits = int(run_lengths[survivors].sum())
-            if compute_results and matched:
-                results = self._score_survivors(
-                    order,
-                    starts,
-                    run_lengths,
-                    survivors,
-                    sorted_docs,
-                    posting_tfs,
-                    posting_terms,
-                )
-            else:
-                results = () if compute_results else None
 
         traversal_units = float(total_postings)
         scoring_units = float(scored_hits) * self.config.score_cost_per_hit
@@ -171,21 +147,17 @@ class SearchEngine:
 
     def _score_survivors(
         self,
-        order: np.ndarray,
-        starts: np.ndarray,
-        run_lengths: np.ndarray,
+        term_ids: np.ndarray,
+        postings: list[tuple[np.ndarray, np.ndarray]],
+        all_docs: np.ndarray,
         survivors: np.ndarray,
-        sorted_docs: np.ndarray,
-        posting_tfs: list[np.ndarray],
-        posting_terms: list[np.ndarray],
     ) -> tuple[tuple[int, float], ...]:
-        all_tfs = np.concatenate(posting_tfs)[order]
-        all_terms = np.concatenate(posting_terms)[order]
-        # Expand survivor runs back into per-hit masks.
-        hit_mask = np.repeat(survivors, run_lengths)
-        docs = sorted_docs[hit_mask]
-        tfs = all_tfs[hit_mask]
-        terms = all_terms[hit_mask]
+        # Hits stay in posting (term) order, the order in which
+        # top_k_documents sums each document's scores.
+        hit_mask = survivors[all_docs]
+        docs = all_docs[hit_mask]
+        tfs = np.concatenate([tf for _, tf in postings])[hit_mask]
+        terms = np.repeat(term_ids, [len(d) for d, _ in postings])[hit_mask]
         idfs = self.index.idf_array(terms)
         lengths = self.index.doc_lengths[docs].astype(np.float64)
         scores = bm25_scores(tfs, idfs, lengths, self.index.avg_doc_length)

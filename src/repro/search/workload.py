@@ -16,10 +16,11 @@ The result, :class:`SearchWorkload`, hands the simulation everything it
 needs: sampled request traces, group profiles and weights, and the
 measured predictor operating point.
 
-Because steps 1-2 cost a few seconds, the expensive intermediates are
-cached on disk keyed by a hash of the seed and configuration; set the
-``REPRO_CACHE_DIR`` environment variable to relocate the cache or
-``use_cache=False`` to disable it.
+Steps 1-2 are cached on disk as pool units and features, keyed by a
+hash of the seed and configuration; set the ``REPRO_CACHE_DIR``
+environment variable to relocate the cache or ``use_cache=False`` to
+disable it.  Step 5 runs in every building process and predicts the
+evaluation half once, for both the pool and the report.
 """
 
 from __future__ import annotations
@@ -189,8 +190,10 @@ def build_search_workload(
     predictor.fit(
         features[train], demands[train], rng=rngs.get("predictor")
     )
-    report = predictor.evaluate(features[evaluate], demands[evaluate])
     predictions = predictor.predict(features[evaluate])
+    report = PredictorReport.from_predictions(
+        predictions, demands[evaluate], pcfg.long_threshold_ms
+    )
 
     return SearchWorkload(
         config=cfg,

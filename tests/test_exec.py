@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+import time
 
 import numpy as np
 import pytest
 
 from repro.config import (
+    ClusterConfig,
     FinanceConfig,
     PredictorConfig,
     SearchWorkloadConfig,
@@ -220,6 +222,27 @@ class TestRunSweep:
         assert all(not e.from_cache for e in events)
         assert all(e.wall_time_s > 0.0 for e in events)
         assert {e.spec for e in events} == set(small_sweep.cells)
+
+    @pytest.mark.parametrize(
+        "cluster", [None, ClusterConfig(num_isns=2)], ids=["single", "cluster"]
+    )
+    def test_cell_wall_time_excludes_workload_build(
+        self, tiny_search_workload, monkeypatch, cluster
+    ):
+        """``wall_time_s`` is simulation time; a slow build is not in it."""
+        def slow_build(spec):
+            time.sleep(0.5)
+            return tiny_search_workload
+
+        monkeypatch.setattr(pool_mod, "memoised_workload", slow_build)
+        events = []
+        (result,) = run_sweep(
+            [tiny_cell("Sequential", cluster_config=cluster)],
+            workers=1,
+            progress=events.append,
+        )
+        assert 0.0 < result.wall_time_s < 0.5
+        assert events[0].wall_time_s == result.wall_time_s
 
     def test_result_adapts_to_experiment_result(self, serial_results):
         adapted = serial_results[0].to_experiment_result()

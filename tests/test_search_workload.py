@@ -1,5 +1,7 @@
 """Integration tests for the assembled search workload."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,24 @@ class TestWorkloadShape:
         assert report.l1_error_ms < tiny_search_workload.statistics.mean_ms * 2
         assert report.recall > 0.5
         assert report.precision > 0.5
+
+    def test_golden_build_matches_pre_optimisation_run(
+        self, tiny_search_workload
+    ):
+        # Captured before the bincount match counting, the joint
+        # histogram split search and the flat-array tree predict; any
+        # build change that is not bit-identical fails here.
+        w = tiny_search_workload
+        report = w.predictor_report
+        assert report.l1_error_ms.hex() == "0x1.3d93c318f4605p+2"
+        assert report.precision.hex() == "0x1.2d2d2d2d2d2d3p-1"
+        assert report.recall.hex() == "0x1.5555555555555p-1"
+        assert hashlib.sha256(w.pool_demands_ms.tobytes()).hexdigest() == (
+            "f6e15de2bd6f89e3c84f82e4fdf3c8f8116570425a2132255a46dfa3283dddba"
+        )
+        assert hashlib.sha256(w.pool_predictions_ms.tobytes()).hexdigest() == (
+            "dfc23f43c546f04a42a5fe46b92578327942f41736a3d38202ef43aaec47a428"
+        )
 
     def test_pool_arrays_aligned(self, tiny_search_workload):
         w = tiny_search_workload
