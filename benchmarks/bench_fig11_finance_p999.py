@@ -52,11 +52,10 @@ def test_fig11_finance_p999(benchmark, finance, finance_table,
     )
 
 
-def test_finance_concurrency_matches_paper(benchmark, finance):
+def test_finance_concurrency_matches_paper(finance):
     """Paper: 'At 200 RPS, with TPC, there are on average 3.5
     concurrent requests in the system.'  Mean demand 18 ms x 200 RPS
     = 3.6 by Little's law."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     cfg = finance.config
     mean_demand_ms = (
         (1 - cfg.long_fraction) * cfg.short_demand_ms

@@ -23,7 +23,8 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.search import build_search_workload
-from repro.sim.arrivals import RateProfile, nonhomogeneous_arrival_times
+from repro.sim.arrivals import RateProfile
+from repro.sim.client import OpenLoopClient
 from repro.sim.engine import Engine
 from repro.rng import RngFactory
 from repro.sim.server import Server
@@ -64,11 +65,9 @@ def main() -> None:
     obs.attach(server)
 
     requests = workload.make_requests(N_REQUESTS, rngs.get("trace"))
-    times = nonhomogeneous_arrival_times(
-        N_REQUESTS, BURST_PROFILE, rngs.get("arrivals")
+    OpenLoopClient(server).schedule_trace(
+        engine, requests, BURST_PROFILE, rngs.get("arrivals")
     )
-    for request, at in zip(requests, times):
-        engine.schedule_at(float(at), lambda r=request: server.submit(r))
 
     print(
         f"Replaying {N_REQUESTS} queries through TPC under a "

@@ -147,28 +147,22 @@ def _run_isn_group(group: _IsnGroup) -> tuple[np.ndarray, list[LatencyRecorder]]
             )
         )
 
-    for (rid, demand, predicted, profile), at, jitter in zip(
-        group.queries, group.arrivals_ms.tolist(), group.jitters.tolist()
-    ):
+    queries = group.queries
+    jitters = group.jitters.tolist()
 
-        def fan_out(
-            rid: int = rid,
-            demand: float = demand,
-            predicted: float = predicted,
-            profile=profile,
-            jitter: list[float] = jitter,
-        ) -> None:
-            for server, factor in zip(servers, jitter):
-                server.submit(
-                    Request(
-                        rid=rid,
-                        demand_ms=demand * factor,
-                        predicted_ms=predicted,
-                        speedup=profile,
-                    )
+    def fan_out(q: int) -> None:
+        rid, demand, predicted, profile = queries[q]
+        for server, factor in zip(servers, jitters[q]):
+            server.submit(
+                Request(
+                    rid=rid,
+                    demand_ms=demand * factor,
+                    predicted_ms=predicted,
+                    speedup=profile,
                 )
+            )
 
-        engine.schedule_at(at, fan_out)
+    engine.schedule_sequence(group.arrivals_ms.tolist(), fan_out)
 
     expected = n_queries * size
     while completed < expected:

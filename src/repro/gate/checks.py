@@ -478,7 +478,7 @@ def hotpath_measurements(result: HotpathResult) -> list[Measurement]:
         Measurement(
             "hotpath_events_run",
             float(result.events_run),
-            Band(rel_lo=0.999, rel_hi=1.001, unit="events"),
+            Band(rel_lo=1.0, rel_hi=1.0, unit="events"),
             paper_ref="deterministic event count of the synthetic trace",
             baseline_key=True,
         ),

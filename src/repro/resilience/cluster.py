@@ -310,58 +310,50 @@ def run_shared_resilient(
 
     # -- fan-out --------------------------------------------------------
 
-    for request, at, jitter in zip(logical, arrivals, jitters):
-        at_ms = float(at)
-        replicas: list[Request | None] = []
+    arrivals_ms = [float(at) for at in arrivals]
+
+    def fan_out(i: int) -> None:
+        request = logical[i]
+        at_ms = arrivals_ms[i]
+        jitter = jitters[i]
+        qid = request.rid
+        q = _QueryState(
+            qid=qid, arrival_ms=at_ms, shards_done=set(), primaries={}
+        )
+        queries[qid] = q
+        aggregator.begin(qid, at_ms)
         for isn in range(num_isns):
             if fspec.is_blacked_out(isn, at_ms):
-                replicas.append(None)
+                stats["dropped_replicas"] += 1
                 continue
-            replicas.append(
-                Request(
-                    rid=request.rid,
-                    demand_ms=float(
-                        request.demand_ms
-                        * jitter[isn]
-                        * fspec.demand_multiplier(isn, at_ms)
-                    ),
-                    predicted_ms=request.predicted_ms,
-                    speedup=request.speedup,
-                )
+            replica = Request(
+                rid=qid,
+                demand_ms=float(
+                    request.demand_ms
+                    * jitter[isn]
+                    * fspec.demand_multiplier(isn, at_ms)
+                ),
+                predicted_ms=request.predicted_ms,
+                speedup=request.speedup,
+            )
+            rep = _Replica(
+                request=replica,
+                qid=qid,
+                shard=isn,
+                node=isn,
+                is_hedge=False,
+            )
+            q.primaries[isn] = rep
+            meta[id(replica)] = rep
+            node_live[isn][id(replica)] = rep
+            servers[isn].submit(replica)
+        if hpolicy.hedging_enabled:
+            q.timer = engine.schedule_at(
+                at_ms + float(hpolicy.hedge_timeout_ms),
+                lambda qid=qid: _on_hedge_timer(qid),
             )
 
-        def fan_out(
-            at_ms: float = at_ms,
-            reps: list[Request | None] = replicas,
-            qid: int = request.rid,
-        ) -> None:
-            q = _QueryState(
-                qid=qid, arrival_ms=at_ms, shards_done=set(), primaries={}
-            )
-            queries[qid] = q
-            aggregator.begin(qid, at_ms)
-            for isn, replica in enumerate(reps):
-                if replica is None:
-                    stats["dropped_replicas"] += 1
-                    continue
-                rep = _Replica(
-                    request=replica,
-                    qid=qid,
-                    shard=isn,
-                    node=isn,
-                    is_hedge=False,
-                )
-                q.primaries[isn] = rep
-                meta[id(replica)] = rep
-                node_live[isn][id(replica)] = rep
-                servers[isn].submit(replica)
-            if hpolicy.hedging_enabled:
-                q.timer = engine.schedule_at(
-                    at_ms + float(hpolicy.hedge_timeout_ms),
-                    lambda qid=qid: _on_hedge_timer(qid),
-                )
-
-        engine.schedule_at(at_ms, fan_out)
+    engine.schedule_sequence(arrivals_ms, fan_out)
 
     # -- drive ----------------------------------------------------------
 

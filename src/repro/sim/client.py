@@ -2,10 +2,12 @@
 
 The paper's client "plays queries from a trace of 100K user queries
 using a Poisson process in an open loop" and varies load by changing
-the arrival rate (queries per second).  :class:`OpenLoopClient`
-schedules every arrival up-front on the engine; arrivals are
-independent of completions (open loop), so an overloaded server builds
-a real queue instead of back-pressuring the client.
+the arrival rate (queries per second).  :class:`OpenLoopClient` draws
+every arrival time up front and hands the whole trace to the engine as
+one :meth:`~repro.sim.engine.Engine.schedule_sequence`, which keeps
+only the next arrival in the event heap.  Arrivals are independent of
+completions (open loop), so an overloaded server builds a real queue
+instead of back-pressuring the client.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import WorkloadError
+from .arrivals import RateProfile, nonhomogeneous_arrival_times
 from .engine import Engine
 from .request import Request
 from .server import Server
@@ -49,19 +52,26 @@ class OpenLoopClient:
         self,
         engine: Engine,
         requests: Iterable[Request],
-        qps: float,
+        qps: float | RateProfile,
         rng: np.random.Generator,
     ) -> int:
         """Schedule all requests as a Poisson process at ``qps``.
 
-        Returns the number of requests scheduled.
+        ``qps`` is a constant rate or a piecewise-constant
+        :class:`~repro.sim.arrivals.RateProfile` (non-homogeneous
+        arrivals).  Returns the number of requests scheduled.
         """
         request_list = list(requests)
-        times = poisson_arrival_times(len(request_list), qps, rng)
+        n = len(request_list)
+        if isinstance(qps, RateProfile):
+            times = nonhomogeneous_arrival_times(n, qps, rng)
+        else:
+            times = poisson_arrival_times(n, qps, rng)
         submit = self.server.submit
-        for request, at in zip(request_list, times):
-            engine.schedule_at(float(at), lambda r=request: submit(r))
-        return len(request_list)
+        engine.schedule_sequence(
+            times.tolist(), lambda i: submit(request_list[i])
+        )
+        return n
 
 
 def replay_trace(

@@ -21,12 +21,20 @@ Compaction never changes observable behaviour: the pop order of a heap
 is a pure function of the ``(time, seq)`` total order, which filtering
 and re-heapifying preserves, and skipped cancelled entries were never
 counted in :attr:`Engine.events_run`.
+
+Bulk arrivals go through :meth:`Engine.schedule_sequence`: a whole
+non-decreasing run of times shares one callback and occupies a single
+heap entry.  The call reserves one sequence number per item up front,
+and each firing pushes the next item with its reserved number, so the
+pop order is the one per-item :meth:`Engine.schedule_at` calls would
+give, while every other push and pop works on a heap of live events
+only instead of the whole remaining trace.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable
+from typing import Callable, Iterable
 
 from ..errors import SimulationError
 
@@ -34,6 +42,7 @@ __all__ = ["Engine", "EventHandle"]
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+_INF = float("inf")
 
 
 class EventHandle:
@@ -115,6 +124,8 @@ class Engine:
         self._seq = 0
         self._events_run = 0
         self._live = 0
+        #: Sequence items reserved but not yet pushed onto the heap.
+        self._deferred = 0
         self._compactions = 0
         self.compact_min_garbage = compact_min_garbage
         self.compact_garbage_ratio = compact_garbage_ratio
@@ -126,8 +137,9 @@ class Engine:
 
     @property
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still scheduled.  O(1)."""
-        return self._live
+        """Number of live (non-cancelled) events still scheduled, every
+        unfired sequence item included.  O(1)."""
+        return self._live + self._deferred
 
     @property
     def garbage(self) -> int:
@@ -142,9 +154,10 @@ class Engine:
     def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at absolute simulated time ``time``."""
         now = self.now
-        if time < now - 1e-9:
+        if not now - 1e-9 <= time < _INF:
             raise SimulationError(
-                f"cannot schedule event in the past: {time:.6f} < now={now:.6f}"
+                f"cannot schedule event at {time!r}: times must be finite "
+                f"and not in the past (now={now:.6f})"
             )
         if time < now:
             time = now
@@ -157,8 +170,8 @@ class Engine:
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` after ``delay`` ms of simulated time."""
-        if delay < 0:
-            raise SimulationError(f"delay must be >= 0, got {delay}")
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"delay must be finite and >= 0, got {delay}")
         # Inlined schedule_at: now + delay can never round below now for
         # a non-negative delay, so the past-check and clamp are moot.
         time = self.now + delay
@@ -168,6 +181,53 @@ class Engine:
         _heappush(self._heap, (time, seq, handle))
         self._live += 1
         return handle
+
+    def schedule_sequence(
+        self, times: Iterable[float], callback: Callable[[int], None]
+    ) -> None:
+        """Schedule ``callback(i)`` at ``times[i]`` for every item.
+
+        ``times`` must be finite, non-decreasing and not before
+        :attr:`now`.  The items reserve consecutive sequence numbers
+        now, so they fire exactly when per-item :meth:`schedule_at`
+        calls made at this point would, but only the next unfired item
+        occupies the heap.  Items cannot be cancelled.
+        """
+        times = [float(t) for t in times]
+        previous = self.now
+        for i, t in enumerate(times):
+            if not previous <= t < _INF:
+                raise SimulationError(
+                    f"sequence time {i} is {t!r}: times must be finite, "
+                    f"non-decreasing and not before now={self.now:.6f}"
+                )
+            previous = t
+        n = len(times)
+        if not n:
+            return
+        first_seq = self._seq
+        self._seq = first_seq + n
+        self._deferred += n
+        fired = 0
+
+        def fire() -> None:
+            nonlocal fired
+            i = fired
+            fired = i + 1
+            if fired < n:
+                self._push_reserved(times[fired], first_seq + fired, fire)
+            callback(i)
+
+        self._push_reserved(times[0], first_seq, fire)
+
+    def _push_reserved(
+        self, time: float, seq: int, callback: Callable[[], None]
+    ) -> None:
+        """Move one reserved sequence item onto the heap."""
+        handle = EventHandle(time, seq, callback, self)
+        _heappush(self._heap, (time, seq, handle))
+        self._live += 1
+        self._deferred -= 1
 
     def _on_cancel(self) -> None:
         """Bookkeeping hook invoked once per :meth:`EventHandle.cancel`."""

@@ -119,6 +119,9 @@ class Server:
         self._worker_limit: int | None = None
         #: Requests withdrawn mid-flight via :meth:`cancel_request`.
         self.cancelled_count = 0
+        #: Requests completed on this server; :meth:`run_to_completion`
+        #: reads it after every engine step.
+        self._completed = 0
         #: Rate classes of the running set, keyed by effective speedup.
         self._classes: dict[float, _RateClass] = {}
         #: Caches of ``total_throughput(busy)`` and the contention
@@ -201,7 +204,7 @@ class Server:
     @property
     def completed_count(self) -> int:
         """Requests completed so far."""
-        return len(self.recorder)
+        return self._completed
 
     # ------------------------------------------------------------------
     # Request lifecycle.
@@ -215,13 +218,16 @@ class Server:
         request.arrival_ms = self.now
         request.state = RequestState.QUEUED
         self.waiting.append(request)
-        self._ensure_sampler()
+        if self._sampler_handle is None:
+            self._start_sampler()
         self._dispatch()
         self._reschedule_completion()
 
     def _dispatch(self) -> None:
         """Start queued requests while workers are idle (FIFO)."""
         waiting = self.waiting
+        if not waiting:
+            return
         initial_degree = self.policy.initial_degree
         max_parallelism = self.config.max_parallelism
         full_pool = self.config.worker_threads
@@ -387,6 +393,7 @@ class Server:
             request.check_handle = None
         self._class_leave(request)
         self.running.remove(request)
+        self._completed += 1
         self.recorder.record(request)
         if self.completion_callback is not None:
             self.completion_callback(request)
@@ -529,20 +536,20 @@ class Server:
     # CPU-utilisation sampler.
     # ------------------------------------------------------------------
 
-    def _ensure_sampler(self) -> None:
+    def _start_sampler(self) -> None:
         """(Re)subscribe the CPU sampler on the first submit after idle.
 
         Paired with the idle shutdown in :meth:`_on_cpu_sample`, this
         keeps a drained server from burning sampler events forever: the
         sampler unsubscribes itself once the server is fully idle and
-        is re-armed here by the next arrival.
+        is re-armed here by the next arrival.  :meth:`submit` calls it
+        only while no sampler event is armed.
         """
-        if self._sampler_handle is None:
-            self._cpu_window_start = self.now
-            self._cpu_busy_integral = 0.0
-            self._sampler_handle = self.engine.schedule(
-                self.config.cpu_sample_interval_ms, self._on_cpu_sample
-            )
+        self._cpu_window_start = self.now
+        self._cpu_busy_integral = 0.0
+        self._sampler_handle = self.engine.schedule(
+            self.config.cpu_sample_interval_ms, self._on_cpu_sample
+        )
 
     def _on_cpu_sample(self) -> None:
         self._sampler_handle = None
@@ -577,8 +584,7 @@ class Server:
         """
         budget = max_events
         engine_step = self.engine.step
-        recorder = self.recorder
-        while len(recorder) < expected:
+        while self._completed < expected:
             if not engine_step():
                 raise SimulationError(
                     f"engine drained with {self.completed_count}/{expected} "

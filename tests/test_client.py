@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import ServerConfig
 from repro.errors import WorkloadError
+from repro.sim.arrivals import RateProfile, nonhomogeneous_arrival_times
 from repro.sim.client import OpenLoopClient, poisson_arrival_times, replay_trace
 from repro.sim.engine import Engine
 from repro.sim.server import Server
@@ -40,6 +41,24 @@ class TestOpenLoopClient:
         assert n == 10
         server.run_to_completion(10)
         assert server.completed_count == 10
+
+    @pytest.mark.parametrize("rate", [300.0, RateProfile((100.0, 900.0), 20.0)])
+    def test_arrivals_follow_the_drawn_times_in_trace_order(self, rate):
+        engine = Engine()
+        server = Server(ServerConfig(), FixedDegreePolicy(1), engine=engine)
+        reqs = [make_request(i, 5.0) for i in range(50)]
+        OpenLoopClient(server).schedule_trace(
+            engine, reqs, rate, np.random.default_rng(4)
+        )
+        assert engine.pending == 50
+        server.run_to_completion(50)
+        if isinstance(rate, RateProfile):
+            expected = nonhomogeneous_arrival_times(
+                50, rate, np.random.default_rng(4)
+            )
+        else:
+            expected = poisson_arrival_times(50, rate, np.random.default_rng(4))
+        assert [r.arrival_ms for r in reqs] == expected.tolist()
 
 
 class TestReplayTrace:

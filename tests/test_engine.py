@@ -1,5 +1,8 @@
 """Tests for the discrete-event engine."""
 
+import math
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -49,6 +52,170 @@ class TestScheduling:
     def test_rejects_negative_delay(self):
         with pytest.raises(SimulationError):
             Engine().schedule(-1.0, lambda: None)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteTimes:
+    """A NaN key breaks the heap invariant and an infinite one never
+    fires, so every entry point rejects them before touching the heap."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_schedule_rejects(self, value):
+        engine = Engine()
+        with pytest.raises(SimulationError):
+            engine.schedule(value, lambda: None)
+        assert engine.pending == 0
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_schedule_at_rejects(self, value):
+        engine = Engine()
+        with pytest.raises(SimulationError):
+            engine.schedule_at(value, lambda: None)
+        assert engine.pending == 0
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_schedule_sequence_rejects(self, value):
+        engine = Engine()
+        with pytest.raises(SimulationError):
+            engine.schedule_sequence([1.0, value], lambda i: None)
+        assert engine.pending == 0
+
+
+class TestScheduleSequence:
+    def test_items_fire_in_order_with_their_index(self):
+        engine = Engine()
+        fired = []
+        engine.schedule_sequence(
+            [1.0, 2.0, 2.0, 4.0], lambda i: fired.append((i, engine.now))
+        )
+        assert engine.pending == 4
+        assert engine.run() == 4
+        assert fired == [(0, 1.0), (1, 2.0), (2, 2.0), (3, 4.0)]
+        assert engine.events_run == 4
+        assert engine.pending == 0
+
+    def test_empty_sequence_schedules_nothing(self):
+        engine = Engine()
+        engine.schedule_sequence([], lambda i: pytest.fail("fired"))
+        assert engine.pending == 0
+        assert engine.run() == 0
+
+    def test_rejects_decreasing_times(self):
+        engine = Engine()
+        with pytest.raises(SimulationError):
+            engine.schedule_sequence([1.0, 3.0, 2.0], lambda i: None)
+        assert engine.pending == 0
+
+    def test_rejects_first_time_in_the_past(self):
+        engine = Engine()
+        engine.run_until(5.0)
+        with pytest.raises(SimulationError):
+            engine.schedule_sequence([4.0, 6.0], lambda i: None)
+        assert engine.pending == 0
+        engine.schedule_sequence([5.0, 6.0], lambda i: None)
+        assert engine.run() == 2
+
+    def test_compaction_counts_only_heap_entries(self):
+        """Unfired sequence items are not heap entries, so they do not
+        dilute the garbage ratio that triggers compaction."""
+        engine = Engine(compact_min_garbage=64, compact_garbage_ratio=1.0)
+        engine.schedule_sequence([float(t) for t in range(1_000)], lambda i: None)
+        handles = [engine.schedule_at(5_000.0, lambda: None) for _ in range(100)]
+        for handle in handles[:80]:
+            handle.cancel()
+        assert engine.compactions == 1
+        assert engine.pending == 1_000 + 20
+        assert engine.run() == 1_020
+
+
+class TestScheduleSequenceDifferential:
+    """``schedule_sequence`` against per-item ``schedule_at``.
+
+    A seeded workload registers point events before, between and after
+    two sequences whose times tie with each other and with the point
+    events; every callback schedules follow-ups and often cancels a
+    random live follow-up.  Built once with sequences and once with one
+    ``schedule_at`` per item, the two engines must fire the same
+    callbacks in the same order at the same clock, with the same
+    ``events_run`` and ``pending`` after every step.
+    """
+
+    GRID = [0.5 * k for k in range(12)]
+
+    def _plan(self, seed):
+        rng = random.Random(seed)
+        ties = lambda n: sorted(rng.choice(self.GRID) for _ in range(n))  # noqa: E731
+        return {
+            "before": [rng.choice(self.GRID) for _ in range(6)],
+            "a": ties(40),
+            "between": [rng.choice(self.GRID) for _ in range(6)],
+            "b": ties(25),
+            "after": [rng.choice(self.GRID) for _ in range(6)],
+            "cutoffs": sorted(rng.choice(self.GRID) for _ in range(3)),
+        }
+
+    def _drive(self, engine, plan, seed, bulk):
+        rng = random.Random(seed + 1000)
+        log = []
+        live = []
+
+        def fire(tag):
+            log.append((tag, engine.now, engine.events_run, engine.pending))
+            for _ in range(rng.randrange(3)):
+                delay = rng.choice([0.0, 0.5, rng.uniform(0.1, 3.0)])
+                follow = ("f", len(log))
+                live.append(engine.schedule(delay, lambda t=follow: fire(t)))
+            if live and rng.random() < 0.6:
+                live.pop(rng.randrange(len(live))).cancel()
+
+        def points(name):
+            for k, t in enumerate(plan[name]):
+                engine.schedule_at(t, lambda t=(name, k): fire(t))
+
+        def sequence(name):
+            times = plan[name]
+            if bulk:
+                engine.schedule_sequence(times, lambda i: fire((name, i)))
+            else:
+                for i, t in enumerate(times):
+                    engine.schedule_at(t, lambda t=(name, i): fire(t))
+
+        points("before")
+        sequence("a")
+        points("between")
+        sequence("b")
+        points("after")
+        states = []
+        for cutoff in plan["cutoffs"]:
+            engine.run_until(cutoff)
+            states.append(("cut", engine.now, engine.events_run, engine.pending))
+        while engine.step():
+            states.append((engine.now, engine.events_run, engine.pending))
+        return log, states
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "compaction",
+        [
+            {"compact_min_garbage": 0, "compact_garbage_ratio": 0.0},
+            {"compact_min_garbage": 10**9},
+        ],
+        ids=["every-cancel", "disabled"],
+    )
+    def test_matches_per_item_schedule_at(self, seed, compaction):
+        plan = self._plan(seed)
+        bulk_engine = Engine(**compaction)
+        reference_engine = Engine(compact_min_garbage=10**9)
+        bulk = self._drive(bulk_engine, plan, seed, bulk=True)
+        reference = self._drive(reference_engine, plan, seed, bulk=False)
+        assert bulk == reference
+        fired = {tag[0] for tag, *_ in bulk[0]}
+        assert {"a", "b", "before", "between", "after", "f"} <= fired
+        assert bulk_engine.events_run == reference_engine.events_run
+        if compaction["compact_min_garbage"] == 0:
+            assert bulk_engine.compactions > 0
 
 
 class TestCancellation:

@@ -13,7 +13,8 @@ from repro.config import ServerConfig
 from repro.core.target_table import TargetTable
 from repro.policies import TPCPolicy
 from repro.rng import RngFactory
-from repro.sim.arrivals import diurnal_profile, nonhomogeneous_arrival_times
+from repro.sim.arrivals import diurnal_profile
+from repro.sim.client import OpenLoopClient
 from repro.sim.engine import Engine
 from repro.sim.server import Server
 
@@ -27,11 +28,9 @@ def run_drift(workload, table, seed=23, n=8000):
     server = Server(ServerConfig(), policy, engine=Engine())
     requests = workload.make_requests(n, rngs.get("trace"))
     profile = diurnal_profile(150.0, 800.0, segments=6, segment_ms=3_000.0)
-    times = nonhomogeneous_arrival_times(n, profile, rngs.get("arrivals"))
-    for request, at in zip(requests, times):
-        server.engine.schedule_at(
-            float(at), lambda s=server, r=request: s.submit(r)
-        )
+    OpenLoopClient(server).schedule_trace(
+        server.engine, requests, profile, rngs.get("arrivals")
+    )
     server.run_to_completion(n)
     return server
 

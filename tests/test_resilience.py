@@ -1,5 +1,7 @@
 """Tests for repro.resilience: faults, hedging, partial-wait aggregation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -363,6 +365,40 @@ class TestResilientCluster:
         )
         np.testing.assert_array_equal(a.isn_latencies_ms, b.isn_latencies_ms)
         assert a.resilience == b.resilience
+
+    def test_golden_faulted_hedged_run(self, tiny_search_workload, target_table):
+        # Captured when each fan-out was its own schedule_at event:
+        # every fault kind, hedge timers and tied cancellation.
+        fault = (
+            FaultSpec.straggler(1, 2.5, t0_ms=200.0, t1_ms=1_200.0)
+            .merged_with(FaultSpec.degraded(2, workers=2, t0_ms=300.0, t1_ms=900.0))
+            .merged_with(FaultSpec.blackout(0, 500.0, 700.0))
+        )
+        result = run_cluster_experiment(
+            tiny_search_workload, "TPC", qps=250.0, n_queries=400, seed=31,
+            cluster_config=ClusterConfig(num_isns=4),
+            target_table=target_table,
+            fault_spec=fault,
+            hedge_policy=HedgePolicy.hedged(30.0),
+        )
+        agg = np.asarray(result.aggregator_latencies_ms, dtype=np.float64)
+        isn = np.asarray(result.isn_latencies_ms, dtype=np.float64)
+        stats = result.resilience
+        digest = hashlib.sha256(agg.tobytes() + isn.tobytes()).hexdigest()
+        observed = (
+            digest,
+            stats.hedges_issued,
+            stats.cancelled_replicas,
+            stats.dropped_replicas,
+            stats.wasted_work_ms.hex(),
+        )
+        assert observed == (
+            "61a3f3c0611186425fd262b07e2b2f7f95c183a44458d8a0803aec34a101da55",
+            180,
+            136,
+            44,
+            "0x1.0a90ff87eeb6cp+11",
+        )
 
     def test_wait_for_k_reduces_tail_and_counts_late(
         self, tiny_search_workload, target_table
