@@ -26,11 +26,14 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, TypeVar
 
 from ..errors import ConfigError
 from .cache import ResultCache
 from .spec import CellResult, CellSpec, SweepSpec, WorkloadSpec
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..obs.observe import Observation
 
 __all__ = [
     "ProgressEvent",
@@ -116,8 +119,14 @@ def forget_workload(spec: WorkloadSpec) -> None:
     _WORKLOAD_MEMO.pop(spec, None)
 
 
-def _execute_cell(spec: CellSpec) -> CellResult:
-    """Expand and simulate one cell (runs in worker or caller process)."""
+def _execute_cell(
+    spec: CellSpec, observation: "Observation | None" = None
+) -> CellResult:
+    """Expand and simulate one cell (runs in worker or caller process).
+
+    ``observation`` is attached by :func:`repro.obs.observe_cell`
+    (single-server cells only).
+    """
     from ..experiments.runner import run_search_experiment
 
     if spec.cluster_config is not None:
@@ -139,7 +148,7 @@ def _execute_cell(spec: CellSpec) -> CellResult:
         load_metric=spec.load_metric,
         prediction=spec.prediction,
         oracle_sigma=spec.oracle_sigma,
-        rampup_interval_ms=spec.rampup_interval_ms,
+        observation=observation,
     )
     return CellResult.from_recorder(
         spec,
@@ -151,15 +160,7 @@ def _execute_cell(spec: CellSpec) -> CellResult:
 
 def run_cell(spec: CellSpec, cache: ResultCache | None = None) -> CellResult:
     """Execute one cell inline, consulting the cache if given."""
-    if cache is not None:
-        hit = cache.get(spec)
-        if hit is not None:
-            hit.wall_time_s = 0.0
-            return hit
-    result = _execute_cell(spec)
-    if cache is not None:
-        cache.put(spec, result)
-    return result
+    return run_sweep([spec], workers=1, cache=cache)[0]
 
 
 def run_sweep(

@@ -155,13 +155,12 @@ class WorkloadSpec:
         return cls(kind="finance", finance_config=config)
 
     @classmethod
-    def from_workload(cls, workload: object) -> "WorkloadSpec | None":
+    def from_workload(cls, workload: object) -> "WorkloadSpec":
         """Derive the spec a built workload was constructed from.
 
-        Returns ``None`` when the workload does not carry enough
-        provenance to be rebuilt in another process (e.g. it was
-        assembled by hand); callers then fall back to in-process serial
-        execution.
+        Raises :class:`ConfigError` when the workload does not carry
+        enough provenance to be rebuilt in another process (e.g. it was
+        assembled by hand): build it with ``build_search_workload``.
         """
         from ..finance.workload import FinanceWorkload
         from ..search.workload import SearchWorkload
@@ -171,7 +170,10 @@ class WorkloadSpec:
         if isinstance(workload, SearchWorkload):
             prov = workload.provenance
             if prov is None:
-                return None
+                raise ConfigError(
+                    "search workload has no build provenance, so cells "
+                    "cannot rebuild it; build it with build_search_workload"
+                )
             return cls.search(
                 seed=prov.seed,
                 config=workload.config,
@@ -181,7 +183,9 @@ class WorkloadSpec:
                 group_bounds_ms=prov.group_bounds_ms,
                 use_workload_cache=prov.use_cache,
             )
-        return None
+        raise ConfigError(
+            f"cannot derive a workload spec from {type(workload).__name__}"
+        )
 
     def build(self):
         """Construct the workload this spec describes (deterministic)."""
@@ -229,7 +233,6 @@ class CellSpec:
     load_metric: LoadMetric = LoadMetric.LONG_THREADS
     prediction: str = "model"
     oracle_sigma: float = 0.0
-    rampup_interval_ms: float | None = None
     #: Non-None turns the cell into a cluster run (N ISNs behind an
     #: aggregator) instead of a single-server experiment.
     cluster_config: ClusterConfig | None = None

@@ -7,12 +7,13 @@ statistics.  ``run_load_sweep`` produces the series behind Figures 4-7;
 ``make_measure_tail`` packages a predefined multi-load experiment as
 the MeasureTail procedure of Algorithm 1.
 
-Sweeps and MeasureTail route their independent cells through the
-:mod:`repro.exec` layer: cells are declared as specs, optionally fanned
-out across a process pool (``workers`` / ``REPRO_BENCH_WORKERS``) and
-optionally memoised on disk (``cache``).  Parallel execution is
-bit-identical to the serial path — every cell is deterministically
-seeded and simulated in isolation either way.
+Sweeps and MeasureTail always route their independent cells through
+the :mod:`repro.exec` layer: cells are declared as specs (so the
+workload must carry build provenance), optionally fanned out across a
+process pool (``workers`` / ``REPRO_BENCH_WORKERS``) and optionally
+memoised on disk (``cache``).  Results are bit-identical at any worker
+count — every cell is deterministically seeded and simulated in
+isolation.
 """
 
 from __future__ import annotations
@@ -94,7 +95,6 @@ def run_search_experiment(
     load_metric: LoadMetric = LoadMetric.LONG_THREADS,
     prediction: str = "model",
     oracle_sigma: float = 0.0,
-    rampup_interval_ms: float | None = None,
     speedup_book=None,
     observation=None,
 ) -> ExperimentResult:
@@ -122,7 +122,6 @@ def run_search_experiment(
         target_table=target_table,
         policy_config=policy_config,
         load_metric=load_metric,
-        rampup_interval_ms=rampup_interval_ms,
     )
     engine = Engine()
     server = Server(server_cfg, policy, engine=engine)
@@ -159,36 +158,16 @@ def run_load_sweep(
 ) -> dict[str, list[ExperimentResult]]:
     """All (policy, load) cells: ``{policy: [result per QPS]}``.
 
-    Independent cells are executed through :func:`repro.exec.run_sweep`
-    when the workload can be declared as a spec (it carries build
-    provenance and no in-memory overrides like ``speedup_book`` are in
-    play); otherwise the sweep falls back to an in-process serial loop.
-    Either path returns identical numbers.
+    Cells are executed through :func:`repro.exec.run_sweep`; the
+    workload must carry build provenance (``WorkloadSpec.from_workload``
+    raises :class:`ConfigError` otherwise).
     """
-    wspec = (
-        WorkloadSpec.from_workload(workload)
-        if kwargs.get("speedup_book") is None
-        else None
-    )
-    if wspec is None:
-        results: dict[str, list[ExperimentResult]] = {}
-        for name in policy_names:
-            results[name] = [
-                run_search_experiment(
-                    workload, name, qps, n_requests, seed,
-                    target_table=target_table, **kwargs,
-                )
-                for qps in qps_grid
-            ]
-        return results
-
-    kwargs.pop("speedup_book", None)
     sweep = SweepSpec.grid(
-        wspec, policy_names, qps_grid, n_requests, seed,
-        target_table=target_table, **kwargs,
+        WorkloadSpec.from_workload(workload), policy_names, qps_grid,
+        n_requests, seed, target_table=target_table, **kwargs,
     )
     cell_results = run_sweep(sweep, workers=workers, cache=cache, progress=progress)
-    results = {}
+    results: dict[str, list[ExperimentResult]] = {}
     per_policy = len(qps_grid)
     for p, name in enumerate(policy_names):
         series = cell_results[p * per_policy : (p + 1) * per_policy]
@@ -277,30 +256,15 @@ def make_measure_tail_batch(
     loads = len(table_config.measure_loads_qps)
 
     def measure_batch(tables: Sequence[TargetTable]) -> list[float]:
-        if wspec is None:
-            # No rebuildable spec: run in-process, serially.
-            samples_per_table = [
-                [
-                    run_search_experiment(
-                        workload, "TPC", qps, count, seed,
-                        target_table=table,
-                        server_config=server_config,
-                        load_metric=load_metric,
-                    ).recorder.responses
-                    for qps in table_config.measure_loads_qps
-                ]
-                for table in tables
-            ]
-        else:
-            cells = _measure_cells(
-                wspec, tables, table_config, seed, count,
-                server_config, load_metric,
-            )
-            results = run_sweep(cells, workers=workers, cache=cache)
-            samples_per_table = [
-                [r.responses_ms for r in results[t * loads : (t + 1) * loads]]
-                for t in range(len(tables))
-            ]
+        cells = _measure_cells(
+            wspec, tables, table_config, seed, count,
+            server_config, load_metric,
+        )
+        results = run_sweep(cells, workers=workers, cache=cache)
+        samples_per_table = [
+            [r.responses_ms for r in results[t * loads : (t + 1) * loads]]
+            for t in range(len(tables))
+        ]
         return [
             weighted_tail_latency(
                 samples, table_config.measure_weights, table_config.percentile
@@ -323,7 +287,7 @@ def build_search_target_table(
 
     The candidate measurements of each greedy iteration fan out across
     the :mod:`repro.exec` process pool; the accepted table, iteration
-    trace and measurement count are bit-identical to a serial search.
+    trace and measurement count are bit-identical at any worker count.
     """
     cfg = table_config if table_config is not None else TargetTableConfig()
     initial = TargetTable.uniform(cfg.load_grid, cfg.initial_target_ms)

@@ -17,9 +17,10 @@ the event stream the first time the registry is read — same numbers,
 zero per-event metric cost.
 
 :func:`observe_cell` runs one declarative
-:class:`~repro.exec.spec.CellSpec` with observation attached and
-returns both the ordinary :class:`~repro.exec.spec.CellResult`
-(bit-identical to ``run_cell`` on the same spec) and the observation.
+:class:`~repro.exec.spec.CellSpec` through the executor's own cell
+body with observation attached and returns both the ordinary
+:class:`~repro.exec.spec.CellResult` (bit-identical to ``run_cell`` on
+the same spec) and the observation.
 Observability never joins the spec itself — it does not change
 results, so it must not change cache keys.
 """
@@ -45,7 +46,7 @@ __all__ = ["Observation", "observe_cell"]
 class _ScopeMetrics:
     """Replay sink deriving one scope's metrics from the event stream."""
 
-    def __init__(self, scope, streaming: bool) -> None:
+    def __init__(self, scope) -> None:
         self.arrivals = scope.counter("arrivals")
         self.dispatches = scope.counter("dispatches")
         self.completions = scope.counter("completions")
@@ -53,12 +54,10 @@ class _ScopeMetrics:
         self.corrections = scope.counter("degree_raises")
         self.queue_depth = scope.gauge("queue_depth")
         self.running = scope.gauge("running")
-        self.queue_wait = scope.histogram("queue_wait_ms", streaming=streaming)
-        self.response = scope.histogram("response_ms", streaming=streaming)
-        self.execution = scope.histogram("execution_ms", streaming=streaming)
-        self.initial_degree = scope.histogram(
-            "initial_degree", streaming=streaming
-        )
+        self.queue_wait = scope.histogram("queue_wait_ms")
+        self.response = scope.histogram("response_ms")
+        self.execution = scope.histogram("execution_ms")
+        self.initial_degree = scope.histogram("initial_degree")
         self.scope = scope
         self._queued = 0
         self._running = 0
@@ -106,17 +105,11 @@ class Observation:
         Optional cap on the number of trace events kept (see
         :class:`RequestTracer`); demand info and policy decisions are
         unaffected by the cap.
-    streaming:
-        Use O(1)-memory streaming quantile histograms instead of exact
-        samples (for long soak runs).
     """
 
-    def __init__(
-        self, capacity: int | None = None, streaming: bool = False
-    ) -> None:
+    def __init__(self, capacity: int | None = None) -> None:
         self.tracer = RequestTracer(capacity)
         self.decisions = DecisionLog()
-        self._streaming = streaming
         #: Per attached server: (scope name, rid -> live request).
         self._servers: list[tuple[str | None, dict[int, "Request"]]] = []
         self._registry = MetricRegistry()
@@ -163,7 +156,7 @@ class Observation:
         owner: dict[int, int] = {}
         for i, (name, requests) in enumerate(self._servers):
             scope = registry.scope(name) if name else registry
-            sinks.append(_ScopeMetrics(scope, self._streaming))
+            sinks.append(_ScopeMetrics(scope))
             for rid in requests:
                 owner.setdefault(rid, i)
         if sinks:
@@ -250,17 +243,13 @@ def observe_cell(
 ) -> "tuple[CellResult, Observation]":
     """Run one cell with observation attached.
 
-    The returned :class:`CellResult` is bit-identical to
-    ``run_cell(spec)`` on the same spec (observation never perturbs the
-    simulation), with the observation's scalar telemetry added under
-    ``extras``.  Cluster cells are not observable through this path
-    yet.
+    The cell runs through the executor's own cell body, so the returned
+    :class:`CellResult` is bit-identical to ``run_cell(spec)`` on the
+    same spec (observation never perturbs the simulation), with the
+    observation's scalar telemetry added under ``extras``.  Cluster
+    cells are not observable through this path yet.
     """
-    import time
-
-    from ..exec.pool import memoised_workload
-    from ..exec.spec import CellResult
-    from ..experiments.runner import run_search_experiment
+    from ..exec.pool import _execute_cell
 
     if spec.cluster_config is not None:
         raise ConfigError(
@@ -268,28 +257,6 @@ def observe_cell(
             "cluster cells are not observable yet"
         )
     obs = observation if observation is not None else Observation()
-    started = time.perf_counter()
-    workload = memoised_workload(spec.workload)
-    result = run_search_experiment(
-        workload,
-        spec.policy_name,
-        spec.qps,
-        spec.n_requests,
-        spec.seed,
-        target_table=spec.target_table,
-        server_config=spec.server_config,
-        policy_config=spec.policy_config,
-        load_metric=spec.load_metric,
-        prediction=spec.prediction,
-        oracle_sigma=spec.oracle_sigma,
-        rampup_interval_ms=spec.rampup_interval_ms,
-        observation=obs,
-    )
-    cell = CellResult.from_recorder(
-        spec,
-        result.policy_name,
-        result.recorder,
-        wall_time_s=time.perf_counter() - started,
-        extras=obs.extras(),
-    )
+    cell = _execute_cell(spec, obs)
+    cell.extras.update(obs.extras())
     return cell, obs

@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from ..exec.spec import CellResult, CellSpec
-from ..sim.metrics import LatencySummary, percentile
+from ..sim.metrics import LatencySummary
 
 __all__ = ["execute_cluster_cell"]
 
@@ -59,15 +59,6 @@ def execute_cluster_cell(spec: CellSpec) -> CellResult:
         hedge_policy=spec.hedge_policy,
     )
     latencies = np.asarray(result.aggregator_latencies_ms, dtype=np.float64)
-    summary = LatencySummary(
-        count=int(latencies.size),
-        mean_ms=float(latencies.mean()),
-        p50_ms=percentile(latencies, 50),
-        p95_ms=percentile(latencies, 95),
-        p99_ms=percentile(latencies, 99),
-        p999_ms=percentile(latencies, 99.9),
-        max_ms=float(latencies.max()),
-    )
     extras: dict[str, float] = {
         "num_isns": float(result.num_isns),
         "isn_p99_ms": result.isn_percentile(99),
@@ -79,7 +70,7 @@ def execute_cluster_cell(spec: CellSpec) -> CellResult:
         spec_hash=spec.content_hash,
         policy_name=result.policy_name,
         qps=spec.qps,
-        summary=summary,
+        summary=LatencySummary.from_samples(latencies),
         responses_ms=latencies,
         queueing_ms=_empty_f64(),
         executions_ms=_empty_f64(),

@@ -240,17 +240,14 @@ def attach_tracer(
     server: "Server",
     capacity: int | None = None,
     tracer: RequestTracer | None = None,
-    on_event: "Callable[[TraceEvent, Request], None] | None" = None,
     on_arrival: "Callable[[Request], None] | None" = None,
 ) -> RequestTracer:
     """Instrument a server with a tracer (wraps its lifecycle hooks).
 
     Must be called before any request is submitted.  ``tracer`` lets
     several servers of one cluster share a tracer (or lets callers
-    supply a pre-configured one).  ``on_event`` is invoked with every
-    event *and* its live request — even events the tracer drops at
-    capacity.  ``on_arrival`` is invoked once per submitted request
-    (with the live request only); it is the cheap hook
+    supply a pre-configured one).  ``on_arrival`` is invoked once per
+    submitted request with the live request; it is the hook
     :class:`repro.obs.Observation` uses to capture ground-truth demand
     info without paying a callback per event.
     """
@@ -281,113 +278,59 @@ def attach_tracer(
     completion_kind = TraceEventKind.COMPLETION
     cancelled_kind = TraceEventKind.CANCELLED
 
-    if on_event is None:
-        # Fast wrapper set: record plain 5-tuples (TraceEvent field
-        # order) and let the tracer materialize NamedTuples lazily on
-        # the first query — the hot path never pays construction.
-        def submit(request: "Request") -> None:
-            # Recorded before the submit call so that an immediate
-            # same-instant dispatch lands after the arrival — timelines
-            # always read arrival -> dispatch with a plain append.
-            record_event((engine.now, request.rid, arrival_kind, 0, None))
-            original_submit(request)
-            if on_arrival is not None:
-                on_arrival(request)
+    # The wrappers record plain 5-tuples (TraceEvent field order) and
+    # let the tracer materialize NamedTuples lazily on the first query
+    # — the hot path never pays construction.
+    def submit(request: "Request") -> None:
+        # Recorded before the submit call so that an immediate
+        # same-instant dispatch lands after the arrival — timelines
+        # always read arrival -> dispatch with a plain append.
+        record_event((engine.now, request.rid, arrival_kind, 0, None))
+        original_submit(request)
+        if on_arrival is not None:
+            on_arrival(request)
 
-        def on_dispatch(request: "Request") -> None:
+    def on_dispatch(request: "Request") -> None:
+        record_event(
+            (engine.now, request.rid, dispatch_kind, request.degree, None)
+        )
+
+    def raise_degree(request: "Request", new_degree: int) -> int:
+        before = request.degree
+        granted = original_raise(request, new_degree)
+        if granted > before:
             record_event(
-                (engine.now, request.rid, dispatch_kind, request.degree, None)
+                (engine.now, request.rid, change_kind, granted, None)
             )
+        return granted
 
-        def raise_degree(request: "Request", new_degree: int) -> int:
-            before = request.degree
-            granted = original_raise(request, new_degree)
-            if granted > before:
-                record_event(
-                    (engine.now, request.rid, change_kind, granted, None)
-                )
-            return granted
-
-        def complete(request: "Request") -> None:
-            original_complete(request)
-            record_event(
-                (
-                    engine.now,
-                    request.rid,
-                    completion_kind,
-                    request.degree,
-                    None,
-                )
+    def complete(request: "Request") -> None:
+        original_complete(request)
+        record_event(
+            (
+                engine.now,
+                request.rid,
+                completion_kind,
+                request.degree,
+                None,
             )
+        )
 
-        def cancel_request(
-            request: "Request", cause: str | None = None
-        ) -> float:
-            degree = request.degree
-            work_done = original_cancel(request, cause)
-            record_event(
-                (
-                    engine.now,
-                    request.rid,
-                    cancelled_kind,
-                    degree,
-                    request.cancel_cause,
-                )
-            )
-            return work_done
-
-    else:
-        # Callback wrapper set: ``on_event`` receives real TraceEvents,
-        # so they are built eagerly here.
-        def submit(request: "Request") -> None:
-            event = TraceEvent(engine.now, request.rid, arrival_kind, 0)
-            record_event(event)
-            on_event(event, request)
-            original_submit(request)
-            if on_arrival is not None:
-                on_arrival(request)
-
-        def on_dispatch(request: "Request") -> None:
-            event = TraceEvent(
-                engine.now, request.rid, dispatch_kind, request.degree
-            )
-            record_event(event)
-            on_event(event, request)
-
-        def raise_degree(request: "Request", new_degree: int) -> int:
-            before = request.degree
-            granted = original_raise(request, new_degree)
-            if granted > before:
-                event = TraceEvent(
-                    engine.now, request.rid, change_kind, granted
-                )
-                record_event(event)
-                on_event(event, request)
-            return granted
-
-        def complete(request: "Request") -> None:
-            original_complete(request)
-            event = TraceEvent(
-                engine.now, request.rid, completion_kind, request.degree
-            )
-            record_event(event)
-            on_event(event, request)
-
-        def cancel_request(
-            request: "Request", cause: str | None = None
-        ) -> float:
-            degree = request.degree
-            work_done = original_cancel(request, cause)
-            event = TraceEvent(
+    def cancel_request(
+        request: "Request", cause: str | None = None
+    ) -> float:
+        degree = request.degree
+        work_done = original_cancel(request, cause)
+        record_event(
+            (
                 engine.now,
                 request.rid,
                 cancelled_kind,
                 degree,
                 request.cancel_cause,
             )
-            record_event(event)
-            on_event(event, request)
-            return work_done
+        )
+        return work_done
 
     server.submit = submit  # type: ignore[method-assign]
     server.dispatch_callback = on_dispatch

@@ -37,6 +37,8 @@ from repro.exec import (
     run_sweep,
 )
 from repro.exec import pool as pool_mod
+from repro.experiments import run_load_sweep
+from repro.obs import observe_cell
 
 
 TINY_SEARCH = SearchWorkloadConfig(
@@ -165,9 +167,12 @@ class TestFromWorkload:
         spec = WorkloadSpec.from_workload(finance_workload)
         assert spec == WorkloadSpec.finance(finance_workload.config)
 
-    def test_hand_assembled_workload_has_no_spec(self, tiny_search_workload):
+    def test_hand_assembled_workload_is_rejected(self, tiny_search_workload):
         bare = dataclasses.replace(tiny_search_workload, provenance=None)
-        assert WorkloadSpec.from_workload(bare) is None
+        with pytest.raises(ConfigError, match="provenance"):
+            WorkloadSpec.from_workload(bare)
+        with pytest.raises(ConfigError, match="provenance"):
+            run_load_sweep(bare, ["Sequential"], [200.0], 50, seed=1)
 
 
 class TestResolveWorkerCount:
@@ -224,10 +229,12 @@ class TestRunSweep:
         assert {e.spec for e in events} == set(small_sweep.cells)
 
     @pytest.mark.parametrize(
-        "cluster", [None, ClusterConfig(num_isns=2)], ids=["single", "cluster"]
+        "cluster,observe",
+        [(None, False), (ClusterConfig(num_isns=2), False), (None, True)],
+        ids=["single", "cluster", "observe"],
     )
     def test_cell_wall_time_excludes_workload_build(
-        self, tiny_search_workload, monkeypatch, cluster
+        self, tiny_search_workload, monkeypatch, cluster, observe
     ):
         """``wall_time_s`` is simulation time; a slow build is not in it."""
         def slow_build(spec):
@@ -235,6 +242,10 @@ class TestRunSweep:
             return tiny_search_workload
 
         monkeypatch.setattr(pool_mod, "memoised_workload", slow_build)
+        if observe:
+            result, _ = observe_cell(tiny_cell("Sequential"))
+            assert 0.0 < result.wall_time_s < 0.5
+            return
         events = []
         (result,) = run_sweep(
             [tiny_cell("Sequential", cluster_config=cluster)],
