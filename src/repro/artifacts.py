@@ -1,8 +1,8 @@
 """JSON artifacts and checked-in baselines, written one way.
 
-The command-line tools write three reports (``BENCH_gate.json``,
-``BENCH_perf.json``, ``BENCH_resilience.json``) and keep two baseline
-files under ``benchmarks/baselines/``.  This module owns what they
+The command-line tools write two reports (``BENCH_gate.json`` and
+``BENCH_resilience.json``) and keep one baseline file,
+``benchmarks/baselines/gate_baseline.json``.  This module owns what they
 share; each report module keeps only its own body.
 
 * Stamping: :func:`stamp` names the schema, the producing tool, the

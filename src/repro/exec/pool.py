@@ -112,9 +112,9 @@ def memoised_workload(spec: WorkloadSpec) -> Any:
 def forget_workload(spec: WorkloadSpec) -> None:
     """Evict one workload from this process's memo (no-op if absent).
 
-    Lets cold-path measurements (``repro.perf``'s end-to-end scenario)
-    pay the full workload build on every repeat instead of timing the
-    memoised copy.
+    Lets cold-path measurements (the gate's ``end_to_end_cell``
+    throughput scenario) pay the full workload build on every repeat
+    instead of timing the memoised copy.
     """
     _WORKLOAD_MEMO.pop(spec, None)
 

@@ -1,5 +1,8 @@
 """``python -m repro.gate`` — run the fidelity & performance gate.
 
+The gate is also the repository's one throughput check: its
+``perf_budget`` check times the simulator on every run, warm or cold.
+
 Exit status: 0 when every check passes, 1 on any band violation, 2 on
 usage errors or a check that crashed.  The JSON artifact is written
 regardless of the verdict so CI can upload it from failing runs.
@@ -17,6 +20,7 @@ from ..exec.cache import ResultCache
 from ..exec.pool import log_progress
 from .checks import CHECKS, scale_for_mode
 from .runner import BASELINE_FILENAME, baseline_metrics, run_gate
+from .throughput import profile_scenarios
 
 __all__ = ["main"]
 
@@ -122,6 +126,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="multiply a measured metric before judgement (gate self-test)",
     )
     parser.add_argument(
+        "--profile",
+        default=None,
+        metavar="PATH",
+        help="also run each throughput scenario once, untimed, under "
+        "cProfile and dump its stats to PATH.<scenario>",
+    )
+    parser.add_argument(
         "--quiet",
         action="store_true",
         help="suppress per-cell progress lines",
@@ -177,6 +188,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     path = report.write(args.output)
     print(report.render_summary())
     print(f"\nreport written to {path}")
+
+    if args.profile:
+        for written in profile_scenarios(scale_for_mode(args.mode), args.profile):
+            print(f"profile written to {written}")
 
     if args.update_baselines:
         metrics = {k: round(v, 6) for k, v in baseline_metrics(report).items()}

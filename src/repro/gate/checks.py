@@ -29,9 +29,11 @@ Registered checks:
     percentile, and per-ISN behaviour stays consistent with the
     single-server cell.
 ``perf_budget``
-    The simulator hot path on a synthetic workload (no expensive
-    workload build): a bit-deterministic event count.  Its throughput
-    is gated by :mod:`repro.perf`, not here.
+    The repository's one throughput gate (:mod:`repro.gate.throughput`):
+    events or requests per second of the bare engine, the simulator
+    hot path and a cold end-to-end cell, each at most 30 % below its
+    baseline; and the hot path's bit-deterministic event count.  The
+    observability layer's penalty on the hot path is recorded unbanded.
 """
 
 from __future__ import annotations
@@ -39,12 +41,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from ..config import ClusterConfig, ServerConfig
+from ..config import ClusterConfig
 from ..errors import ConfigError
 from ..exec.spec import CellSpec, spec_hash
-from ..perf.scenarios import HotpathResult, run_hotpath_benchmark
 from ..sim.metrics import DistributionStats, distribution_stats
 from .bands import Band, Measurement
+from .throughput import throughput_measurements
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runner import GateContext
@@ -59,8 +61,6 @@ __all__ = [
     "demand_measurements",
     "ordering_measurements",
     "cluster_measurements",
-    "hotpath_measurements",
-    "run_hotpath_benchmark",
     "ClusterProbe",
     "ClusterProbeSpec",
 ]
@@ -96,6 +96,8 @@ class GateScale:
     cluster_isns: int
     cluster_queries: int
     hotpath_requests: int
+    engine_only_events: int
+    end_to_end_requests: int
     seed: int = GATE_SEED
 
     @property
@@ -112,6 +114,8 @@ _SCALES: dict[str, GateScale] = {
         cluster_isns=8,
         cluster_queries=600,
         hotpath_requests=6_000,
+        engine_only_events=30_000,
+        end_to_end_requests=300,
     ),
     "full": GateScale(
         mode="full",
@@ -120,6 +124,8 @@ _SCALES: dict[str, GateScale] = {
         cluster_isns=16,
         cluster_queries=2_000,
         hotpath_requests=20_000,
+        engine_only_events=120_000,
+        end_to_end_requests=1_000,
     ),
 }
 
@@ -457,42 +463,6 @@ def _evaluate_cluster(ctx: "GateContext") -> list[Measurement]:
 
 
 # ---------------------------------------------------------------------------
-# perf_budget
-#
-# The hot-path benchmark itself lives in repro.perf.scenarios (the
-# perf harness's ``server_under_load`` scenario) and is imported above,
-# so ``python -m repro.perf`` gates the throughput of the identical
-# code this check pins.  The gate seed equals repro.perf's
-# HOTPATH_SEED; both are asserted equal by the test suite.
-
-
-def hotpath_measurements(result: HotpathResult) -> list[Measurement]:
-    """Band the hot-path benchmark's bit-deterministic event count.
-
-    Any drift means the engine's scheduling semantics changed.
-    Throughput is gated once, by ``python -m repro.perf``, which fails
-    on a drop of more than 30 % on this same scenario; the wall time
-    is reported here unbanded.
-    """
-    return [
-        Measurement(
-            "hotpath_events_run",
-            float(result.events_run),
-            Band(rel_lo=1.0, rel_hi=1.0, unit="events"),
-            paper_ref="deterministic event count of the synthetic trace",
-            baseline_key=True,
-        ),
-        Measurement("hotpath_wall_time_s", result.wall_time_s, None),
-    ]
-
-
-def _evaluate_hotpath(ctx: "GateContext") -> list[Measurement]:
-    return hotpath_measurements(
-        run_hotpath_benchmark(ctx.scale.hotpath_requests, ctx.scale.seed)
-    )
-
-
-# ---------------------------------------------------------------------------
 # registry
 
 CHECKS: dict[str, GateCheck] = {
@@ -538,10 +508,11 @@ CHECKS: dict[str, GateCheck] = {
         ),
         GateCheck(
             name="perf_budget",
-            description="simulator hot-path event count",
+            description="simulator throughput, hot-path event count, "
+            "tracing penalty",
             paper_ref="sim/engine + sim/server hot path",
             cells=lambda s: (),
-            evaluate=_evaluate_hotpath,
+            evaluate=lambda ctx: throughput_measurements(ctx.scale),
         ),
     )
 }

@@ -1,10 +1,10 @@
 """The gate's artifact: ``BENCH_gate.json`` and the human summary.
 
-A :class:`GateReport` is versioned (schema), attributed (git SHA,
-mode, environment), and self-contained: every check's status, every
-measurement with its effective band and baseline, and the execution
-timings (cells run vs served from cache) needed to audit a CI run
-from the artifact alone.
+A :class:`GateReport` is stamped by :func:`repro.artifacts.stamp`
+(schema, git SHA, environment), names its mode, and is
+self-contained: every check's status, every measurement with its
+effective band and baseline, and the execution timings (cells run vs
+served from cache) needed to audit a CI run from the artifact alone.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ..artifacts import SCHEMA_VERSION, environment, write_json
+from ..artifacts import stamp, write_json
 from .bands import EvaluatedMeasurement
 
 __all__ = [
@@ -62,9 +62,9 @@ class GateReport:
     cells_executed: int
     cells_from_cache: int
     payload_hits: int
-    sha: str = "unknown"
     baselines_used: bool = False
-    environment: dict[str, Any] = field(default_factory=environment)
+    #: The :func:`repro.artifacts.stamp` fields the JSON report starts with.
+    header: dict[str, Any] = field(default_factory=lambda: stamp("repro.gate"))
 
     @property
     def passed(self) -> bool:
@@ -91,9 +91,7 @@ class GateReport:
             "errored": sum(1 for c in self.checks if c.status == "error"),
         }
         return {
-            "schema_version": SCHEMA_VERSION,
-            "generated_by": "repro.gate",
-            "git_sha": self.sha,
+            **self.header,
             "mode": self.mode,
             "status": self.status,
             "counts": counts,
@@ -105,7 +103,6 @@ class GateReport:
                 "payload_hits": self.payload_hits,
             },
             "baselines_used": self.baselines_used,
-            "environment": self.environment,
             "checks": [c.as_dict() for c in self.checks],
         }
 
@@ -116,15 +113,17 @@ class GateReport:
     def render_summary(self) -> str:
         """The human-readable verdict printed after a run."""
         lines = [
-            f"repro.gate — mode={self.mode}  git={self.sha[:12]}  "
+            f"repro.gate — mode={self.mode}  git={self.header['git_sha'][:12]}  "
             f"status={self.status.upper()}",
             f"cells: {self.cells_total} total, "
             f"{self.cells_executed} simulated, "
             f"{self.cells_from_cache} from cache, "
             f"{self.payload_hits} payload hits; "
             f"wall {self.total_wall_time_s:.1f}s",
-            "",
         ]
+        if not self.baselines_used:
+            lines.append("no baseline for this mode: relative bounds skipped")
+        lines.append("")
         for c in self.checks:
             mark = {"pass": "PASS", "fail": "FAIL", "error": "ERROR"}[c.status]
             lines.append(

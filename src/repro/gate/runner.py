@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Mapping, Sequence
 
-from ..artifacts import baseline_mode, baseline_path, git_sha, load_baseline
+from ..artifacts import baseline_mode, baseline_path, load_baseline
 from ..errors import ConfigError
 from ..exec.cache import ResultCache
 from ..exec.pool import ProgressEvent, run_sweep
@@ -225,7 +225,6 @@ def run_gate(
         cells_executed=len(cells) - cells_from_cache,
         cells_from_cache=cells_from_cache,
         payload_hits=ctx.payload_hits,
-        sha=git_sha(),
         baselines_used=bool(baselines),
     )
 

@@ -438,17 +438,6 @@ class Server:
     # Fluid progress integration.
     # ------------------------------------------------------------------
 
-    def _contention_factor(self) -> float:
-        """Processor-sharing slowdown of one thread.
-
-        With ``T`` active threads the machine delivers
-        ``total_throughput(T)`` core-equivalents (full speed up to the
-        physical core count, diminished SMT-sibling speed beyond, a
-        hard ceiling past the hardware-thread count), shared equally.
-        The value is cached and refreshed when the busy count changes.
-        """
-        return self._factor
-
     def _advance(self) -> None:
         """Integrate remaining work of running requests up to ``now``.
 

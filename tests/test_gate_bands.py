@@ -22,10 +22,10 @@ from repro.gate import (
 from repro.gate.bands import evaluate_measurement
 from repro.gate.checks import (
     P99_PAIR_TOLERANCE,
+    ClusterProbe,
     cluster_measurements,
-    run_hotpath_benchmark,
 )
-from repro.gate.checks import ClusterProbe
+from repro.gate.throughput import TracingOverhead, Window, run_hotpath_benchmark
 from repro.sim.metrics import LatencyRecorder, distribution_stats
 
 
@@ -188,15 +188,23 @@ class TestClusterCheck:
 
 class TestHotpath:
     def test_event_count_is_deterministic(self):
-        a = run_hotpath_benchmark(1_500, seed=11)
-        b = run_hotpath_benchmark(1_500, seed=11)
-        assert a.events_run == b.events_run
-        assert a.n_requests == b.n_requests == 1_500
+        a, _ = run_hotpath_benchmark(1_500, seed=11)
+        b, _ = run_hotpath_benchmark(1_500, seed=11)
+        assert a.events_run == b.events_run > 2 * 1_500
 
     def test_throughputs_are_positive(self):
-        result = run_hotpath_benchmark(1_000, seed=11)
-        assert result.events_per_s > 0
-        assert result.requests_per_s > 0
+        engine, seconds = run_hotpath_benchmark(1_000, seed=11)
+        assert seconds > 0
+        assert engine.events_run / seconds > 0
+
+
+class TestThroughput:
+    def test_tracing_penalty_is_median_of_pairs(self):
+        bare = Window(((10.0, 1.0), (10.0, 1.0), (10.0, 2.0)))
+        observed = Window(((10.0, 1.25), (10.0, 2.0), (10.0, 2.2)))
+        overhead = TracingOverhead(bare, observed, events_traced=0)
+        # Per-pair penalties 0.2, 0.5 and 1/11: the median is 0.2.
+        assert overhead.penalty == pytest.approx(0.2)
 
 
 class TestBaselines:

@@ -483,25 +483,34 @@ class TestObserveCell:
 
 
 class TestOverheadScenario:
-    def test_tracing_overhead_scenario(self):
-        from repro.perf.scenarios import run_tracing_overhead
+    def test_tracing_overhead_scenario(self, monkeypatch):
+        from repro.gate import throughput
 
-        result = run_tracing_overhead(1_500)
-        for key in (
-            "events_run",
-            "events_per_s",
-            "baseline_events_per_s",
-            "penalty_fraction",
-            "events_traced",
-        ):
-            assert key in result
-        assert result["events_traced"] == 3 * 1_500
-        assert result["events_per_s"] > 0
+        # One bare and one observed run: this checks the pairing, not
+        # the penalty's size.
+        monkeypatch.setattr(throughput, "MIN_WINDOW_S", 0.0)
+        result = throughput.run_tracing_overhead(1_500, seed=93)
+        assert len(result.bare.repeats) == len(result.observed.repeats) == 1
+        assert result.bare.repeats[0][0] == result.observed.repeats[0][0]
+        assert result.events_traced == 3 * 1_500
+        assert result.observed.rate > 0
+        assert result.penalty < 1.0
 
-    def test_scenario_registered(self):
-        from repro.perf.scenarios import SCENARIOS
+    def test_scenario_registered(self, monkeypatch):
+        import dataclasses
 
-        assert "tracing_overhead" in SCENARIOS
+        from repro.gate import scale_for_mode, throughput
+
+        # The tracing penalty is one of perf_budget's measurements.
+        monkeypatch.setattr(throughput, "MIN_WINDOW_S", 0.0)
+        scale = dataclasses.replace(
+            scale_for_mode("fast"),
+            engine_only_events=500,
+            hotpath_requests=300,
+            end_to_end_requests=50,
+        )
+        metrics = {m.metric for m in throughput.throughput_measurements(scale)}
+        assert "tracing_penalty" in metrics
 
 
 class TestCli:
