@@ -142,15 +142,21 @@ def baseline_mode(document: Mapping | None, mode: str) -> dict:
 
 
 def merge_baseline(
-    document: Mapping | None, mode: str, entries: Mapping[str, Any]
+    document: Mapping | None,
+    mode: str,
+    entries: Mapping[str, Any],
+    keep_unlisted: bool = False,
 ) -> dict:
     """A new document with ``mode``'s entries replaced.
 
     Other modes are kept, so fast and full baselines can be refreshed
-    independently.  The result is stamped with the current git SHA.
+    independently.  ``keep_unlisted`` also keeps the mode's entries
+    that ``entries`` does not list, for updates from a subset of the
+    checks.  The result is stamped with the current git SHA.
     """
     modes = dict(document.get("modes", {})) if document is not None else {}
-    modes[mode] = dict(entries)
+    kept = dict(modes.get(mode, {})) if keep_unlisted else {}
+    modes[mode] = {**kept, **entries}
     return {
         "schema_version": SCHEMA_VERSION,
         "updated_from_git_sha": git_sha(),

@@ -38,6 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "ProgressEvent",
     "memoised_workload",
+    "built_workload",
     "forget_workload",
     "resolve_worker_count",
     "run_cell",
@@ -107,6 +108,15 @@ def memoised_workload(spec: WorkloadSpec) -> Any:
             _WORKLOAD_MEMO.pop(next(iter(_WORKLOAD_MEMO)))
         _WORKLOAD_MEMO[spec] = workload
     return workload
+
+
+def built_workload(spec: WorkloadSpec) -> Any | None:
+    """The workload this process has memoised for ``spec``, or None.
+
+    Never builds; lets a report read a workload's build phases without
+    paying for a build.
+    """
+    return _WORKLOAD_MEMO.get(spec)
 
 
 def forget_workload(spec: WorkloadSpec) -> None:

@@ -116,7 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--update-baselines",
         action="store_true",
         help="run the checks, then store their measured values as the "
-        "new baselines for this mode",
+        "new baselines for this mode (with --only, the other checks' "
+        "baselines are kept)",
     )
     parser.add_argument(
         "--perturb",
@@ -196,7 +197,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.update_baselines:
         metrics = {k: round(v, 6) for k, v in baseline_metrics(report).items()}
         target = args.baselines or baseline_path(BASELINE_FILENAME)
-        document = merge_baseline(load_baseline(target), args.mode, metrics)
+        # With --only, the checks that did not run keep their entries.
+        document = merge_baseline(
+            load_baseline(target), args.mode, metrics, keep_unlisted=only is not None
+        )
         write_json(document, target)
         print(f"baselines for mode={args.mode} updated at {target}")
 

@@ -33,7 +33,9 @@ Registered checks:
     events or requests per second of the bare engine, the simulator
     hot path and a cold end-to-end cell, each at most 30 % below its
     baseline; and the hot path's bit-deterministic event count.  The
-    observability layer's penalty on the hot path is recorded unbanded.
+    observability layer's penalty on the hot path is recorded unbanded,
+    as are the build phases of the canonical workload when this
+    process built it.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ __all__ = [
     "cluster_measurements",
     "ClusterProbe",
     "ClusterProbeSpec",
+    "build_phase_measurements",
 ]
 
 #: Seed of every gate experiment (distinct from the benchmark seed so
@@ -463,6 +466,28 @@ def _evaluate_cluster(ctx: "GateContext") -> list[Measurement]:
 
 
 # ---------------------------------------------------------------------------
+# perf_budget
+
+
+def build_phase_measurements() -> list[Measurement]:
+    """Wall seconds of each build phase of the canonical workload.
+
+    Informational, and present only when this process built that
+    workload (inline cells or the cluster check): the gate never pays
+    for a build just to time it.
+    """
+    from ..exec.pool import built_workload
+    from ..experiments.scenarios import default_workload_spec
+
+    workload = built_workload(default_workload_spec())
+    phases = workload.build_phases_s if workload is not None else {}
+    return [
+        Measurement(f"build_{phase}_s", seconds, None)
+        for phase, seconds in phases.items()
+    ]
+
+
+# ---------------------------------------------------------------------------
 # registry
 
 CHECKS: dict[str, GateCheck] = {
@@ -509,10 +534,12 @@ CHECKS: dict[str, GateCheck] = {
         GateCheck(
             name="perf_budget",
             description="simulator throughput, hot-path event count, "
-            "tracing penalty",
+            "tracing penalty, workload build phases",
             paper_ref="sim/engine + sim/server hot path",
             cells=lambda s: (),
-            evaluate=lambda ctx: throughput_measurements(ctx.scale),
+            evaluate=lambda ctx: (
+                throughput_measurements(ctx.scale) + build_phase_measurements()
+            ),
         ),
     )
 }

@@ -33,29 +33,38 @@ QUERY_FEATURE_NAMES: tuple[str, ...] = (
 
 def query_features(query: Query, index: InvertedIndex) -> np.ndarray:
     """Feature vector of one query (see :data:`QUERY_FEATURE_NAMES`)."""
-    term_ids = np.asarray(query.term_ids, dtype=np.int64)
-    dfs = index.document_frequencies[term_ids].astype(np.float64)
-    idfs = index.idf_array(term_ids)
-    sorted_dfs = np.sort(dfs)[::-1]
-    second_max = sorted_dfs[1] if len(sorted_dfs) > 1 else sorted_dfs[0]
-    return np.array(
-        [
-            float(len(term_ids)),
-            float(np.log1p(dfs.sum())),
-            float(np.log1p(dfs.min())),
-            float(np.log1p(dfs.max())),
-            float(np.log1p(second_max)),
-            float(idfs.mean()),
-            float(idfs.min()),
-            float(idfs.sum()),
-        ]
-    )
+    return query_feature_matrix([query], index)[0]
 
 
 def query_feature_matrix(
     queries: list[Query], index: InvertedIndex
 ) -> np.ndarray:
-    """Stacked feature matrix for a query list."""
-    if not queries:
-        return np.empty((0, len(QUERY_FEATURE_NAMES)))
-    return np.vstack([query_features(q, index) for q in queries])
+    """Stacked feature matrix for a query list, one row per query.
+
+    Queries are grouped by keyword count ``k``; each group's ``(n, k)``
+    df and idf matrices are reduced along their rows.  A row sum of
+    length ``k`` uses the pairwise summation of a 1-D sum of ``k``
+    values, so every row equals the features of its query computed
+    alone.  (Padding rows to a common width would regroup the sums.)
+    """
+    out = np.empty((len(queries), len(QUERY_FEATURE_NAMES)))
+    lengths = np.fromiter((len(q.term_ids) for q in queries), np.int64, len(queries))
+    for k in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == k)
+        term_ids = np.array([queries[i].term_ids for i in rows], dtype=np.int64)
+        idfs = index.idf_array(term_ids)
+        dfs = index.document_frequencies[term_ids].astype(np.float64)
+        ranked = np.sort(dfs, axis=1)
+        out[rows] = np.column_stack(
+            (
+                np.full(len(rows), float(k)),
+                np.log1p(dfs.sum(axis=1)),
+                np.log1p(ranked[:, 0]),
+                np.log1p(ranked[:, -1]),
+                np.log1p(ranked[:, -2 if k > 1 else -1]),
+                idfs.mean(axis=1),
+                idfs.min(axis=1),
+                idfs.sum(axis=1),
+            )
+        )
+    return out

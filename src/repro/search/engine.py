@@ -20,6 +20,8 @@ execution-time prediction realistically imperfect (Section 2.5).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -90,19 +92,9 @@ class SearchEngine:
         """
         term_ids = np.asarray(query.term_ids, dtype=np.int64)
         k = len(term_ids)
-        min_match = 1 if k == 1 else (k + 1) // 2
-
         postings = [self.index.postings(int(term)) for term in term_ids]
-        all_docs = (
-            np.concatenate([docs for docs, _ in postings])
-            if postings
-            else np.empty(0, np.int32)
-        )
+        all_docs, counts, survivors = _match(postings)
         total_postings = int(all_docs.size)
-        # A posting list holds a document at most once, so a document's
-        # keyword count is its multiplicity across the postings.
-        counts = np.bincount(all_docs)
-        survivors = counts >= min_match
         matched = int(survivors.sum())
         scored_hits = int(counts[survivors].sum())
         results: tuple[tuple[int, float], ...] | None = None
@@ -123,6 +115,42 @@ class SearchEngine:
             scoring_units=scoring_units,
             serial_units=float(self.config.serial_work_units),
             results=results,
+        )
+
+    def work_units(self, queries: Sequence[Query]) -> np.ndarray:
+        """``execute(q).total_units`` of every query, as one array.
+
+        Builds no :class:`QueryExecution` objects.  A query of one or
+        two keywords keeps every document its postings hold (its
+        ``min_match`` is 1), so its scored hits equal its total
+        postings, the sum of its terms' document frequencies, and no
+        posting is read.  Longer queries count matches as
+        :meth:`execute` does.  The counts are integers, so the units
+        are the same floats :meth:`execute` computes.
+        """
+        lengths = np.fromiter(
+            (len(q.term_ids) for q in queries), np.int64, len(queries)
+        )
+        terms = self.index.checked_term_ids(
+            np.fromiter(
+                chain.from_iterable(q.term_ids for q in queries),
+                np.int64,
+                int(lengths.sum()),
+            )
+        )
+        starts = np.zeros(len(queries), dtype=np.int64)
+        np.cumsum(lengths[:-1], out=starts[1:])
+        dfs = self.index.document_frequencies[terms]
+        total_postings = np.add.reduceat(dfs, starts) if len(queries) else dfs
+        scored_hits = total_postings.copy()
+        for i in np.flatnonzero(lengths > 2):
+            postings = [self.index.postings(t) for t in queries[i].term_ids]
+            _, counts, survivors = _match(postings)
+            scored_hits[i] = counts[survivors].sum()
+        cfg = self.config
+        return float(cfg.serial_work_units) + (
+            total_postings.astype(np.float64)
+            + scored_hits.astype(np.float64) * cfg.score_cost_per_hit
         )
 
     def execute_conjunctive(self, query: Query) -> ConjunctiveExecution:
@@ -162,3 +190,24 @@ class SearchEngine:
         lengths = self.index.doc_lengths[docs].astype(np.float64)
         scores = bm25_scores(tfs, idfs, lengths, self.index.avg_doc_length)
         return tuple(top_k_documents(docs, scores, self.config.top_k))
+
+
+def _match(
+    postings: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(concatenated docs, per-document keyword counts, survivor mask).
+
+    ``postings`` holds one posting list per keyword; a document
+    survives when it matches at least half of them.
+    """
+    k = len(postings)
+    min_match = 1 if k == 1 else (k + 1) // 2
+    all_docs = (
+        np.concatenate([docs for docs, _ in postings])
+        if postings
+        else np.empty(0, np.int32)
+    )
+    # A posting list holds a document at most once, so a document's
+    # keyword count is its multiplicity across the postings.
+    counts = np.bincount(all_docs)
+    return all_docs, counts, counts >= min_match

@@ -26,13 +26,20 @@ class InvertedIndex:
         self._doc_lengths = np.diff(corpus.doc_offsets).astype(np.int32)
 
         # Expand (doc, term) pairs, deduplicate into term frequencies,
-        # then group by term into CSR posting storage.
-        doc_of_token = np.repeat(
-            np.arange(self._num_documents, dtype=np.int32), self._doc_lengths
+        # then group by term into CSR posting storage.  Tokens are in
+        # document order, so a stable sort by term alone orders the
+        # pairs by (term, doc); on the narrowest integer type that holds
+        # every term id, numpy sorts ids of up to 16 bits by radix sort.
+        # The sort keys and the token-to-document map are temporaries,
+        # freed as soon as they are used.
+        order = np.argsort(
+            corpus.doc_term_ids.astype(np.min_scalar_type(self._vocabulary_size - 1)),
+            kind="stable",
         )
-        order = np.lexsort((doc_of_token, corpus.doc_term_ids))
         terms = corpus.doc_term_ids[order]
-        docs = doc_of_token[order]
+        docs = np.repeat(
+            np.arange(self._num_documents, dtype=np.int32), self._doc_lengths
+        )[order]
         # Collapse duplicate (term, doc) runs into tf counts.
         boundary = np.ones(len(terms), dtype=bool)
         boundary[1:] = (terms[1:] != terms[:-1]) | (docs[1:] != docs[:-1])
@@ -92,11 +99,16 @@ class InvertedIndex:
 
     def idf_array(self, term_ids: np.ndarray | list[int]) -> np.ndarray:
         """Vectorised IDF for several terms."""
+        ids = self.checked_term_ids(term_ids)
+        df = self._document_frequencies[ids].astype(np.float64)
+        return np.log1p((self._num_documents - df + 0.5) / (df + 0.5))
+
+    def checked_term_ids(self, term_ids: np.ndarray | list[int]) -> np.ndarray:
+        """``term_ids`` as int64, or :class:`WorkloadError` if any is unknown."""
         ids = np.asarray(term_ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self._vocabulary_size):
             raise WorkloadError("term id out of range")
-        df = self._document_frequencies[ids].astype(np.float64)
-        return np.log1p((self._num_documents - df + 0.5) / (df + 0.5))
+        return ids
 
     def postings(self, term_id: int) -> tuple[np.ndarray, np.ndarray]:
         """(sorted doc ids, term frequencies) of one term."""

@@ -28,7 +28,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, asdict
+import time
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,11 @@ class SearchWorkload:
     #: How this workload was built (None for hand-assembled instances);
     #: lets ``repro.exec`` rebuild it inside worker processes.
     provenance: WorkloadProvenance | None = None
+    #: Wall seconds of each build phase, in build order: corpus, index,
+    #: query_generate, pool_units, features, profiles, predictor_fit,
+    #: predictor_predict.  The first five are absent when the pool
+    #: came from the disk cache.
+    build_phases_s: dict[str, float] = field(default_factory=dict)
 
     @property
     def pool_size(self) -> int:
@@ -148,7 +154,8 @@ def build_search_workload(
     pcfg = predictor_config if predictor_config is not None else PredictorConfig()
     rngs = RngFactory(seed)
 
-    units, features = _measured_pool(seed, cfg, pool_size, use_cache, rngs)
+    phases: dict[str, float] = {}
+    units, features = _measured_pool(seed, cfg, pool_size, use_cache, rngs, phases)
 
     # Hidden per-query ranking-cost factor: second-phase ranking work
     # that is real on the server but invisible in index statistics.
@@ -168,6 +175,7 @@ def build_search_workload(
     demands = units * scale
     serial_ms = cfg.serial_work_units * scale
 
+    started = time.perf_counter()
     model = fit_parallel_model(
         serial_ms=serial_ms,
         task_grain_ms=cfg.task_grain_units * scale,
@@ -182,15 +190,20 @@ def build_search_workload(
     else:
         book = SpeedupBook.from_samples(demands, profiles, bounds)
     weights = _group_weights(book, demands)
+    phases["profiles"] = time.perf_counter() - started
 
     # Train/eval split: even indices train, odd indices become the pool.
     train = np.arange(0, len(demands), 2)
     evaluate = np.arange(1, len(demands), 2)
+    started = time.perf_counter()
     predictor = ExecutionTimePredictor(pcfg)
     predictor.fit(
         features[train], demands[train], rng=rngs.get("predictor")
     )
+    fitted = time.perf_counter()
     predictions = predictor.predict(features[evaluate])
+    phases["predictor_fit"] = fitted - started
+    phases["predictor_predict"] = time.perf_counter() - fitted
     report = PredictorReport.from_predictions(
         predictions, demands[evaluate], pcfg.long_threshold_ms
     )
@@ -215,6 +228,7 @@ def build_search_workload(
             predictor_config=pcfg,
             use_cache=use_cache,
         ),
+        build_phases_s=phases,
     )
 
 
@@ -234,22 +248,30 @@ def _measured_pool(
     pool_size: int,
     use_cache: bool,
     rngs: RngFactory,
+    phases: dict[str, float],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Corpus + index + pool execution, with an npz disk cache."""
+    """Corpus + index + pool execution, with an npz disk cache.
+
+    Records the wall seconds of each phase it runs in ``phases``.
+    """
     cache_path = _cache_path(seed, cfg, pool_size) if use_cache else None
     if cache_path is not None and cache_path.exists():
         data = np.load(cache_path)
         return data["units"], data["features"]
 
+    clock = [time.perf_counter()]
     corpus = build_corpus(cfg, rngs.get("corpus"))
+    clock.append(time.perf_counter())
     index = InvertedIndex(corpus)
-    generator = QueryGenerator(cfg, rngs.get("queries"))
-    queries = generator.generate(pool_size)
-    engine = SearchEngine(index, cfg)
-    units = np.array(
-        [engine.execute(q).total_units for q in queries], dtype=np.float64
-    )
+    clock.append(time.perf_counter())
+    queries = QueryGenerator(cfg, rngs.get("queries")).generate(pool_size)
+    clock.append(time.perf_counter())
+    units = SearchEngine(index, cfg).work_units(queries)
+    clock.append(time.perf_counter())
     features = query_feature_matrix(queries, index)
+    clock.append(time.perf_counter())
+    names = ("corpus", "index", "query_generate", "pool_units", "features")
+    phases.update(zip(names, np.diff(clock).tolist()))
 
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)

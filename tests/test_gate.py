@@ -18,8 +18,9 @@ from repro.artifacts import (
     write_json,
 )
 from repro.errors import ConfigError
-from repro.exec import ResultCache
+from repro.exec import ResultCache, pool
 from repro.gate import CHECKS, check_names, run_gate, scale_for_mode, throughput
+from repro.gate.checks import build_phase_measurements
 from repro.gate.__main__ import main as gate_main
 from repro.gate.runner import BASELINE_FILENAME, baseline_metrics, select_checks
 
@@ -131,6 +132,13 @@ class TestColdRun:
             assert values[f"{name}_spread"] == 1.0
         assert values["tracing_penalty"] == 0.0
         assert values["peak_rss_mb"] > 0.0
+        # Inline cells built the canonical workload in this process.
+        phases = {"profiles", "predictor_fit", "predictor_predict"}
+        assert {f"build_{phase}_s" for phase in phases} <= set(values)
+
+    def test_build_phases_absent_without_an_in_process_build(self, monkeypatch):
+        monkeypatch.setattr(pool, "_WORKLOAD_MEMO", {})
+        assert build_phase_measurements() == []
 
 
 class TestWarmRun:

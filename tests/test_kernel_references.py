@@ -3,9 +3,13 @@ straightforward reference implementations.
 
 The references are the earlier, slower formulations, kept here only as
 oracles: a per-feature split scan and level-by-level tree routing for
-:class:`~repro.prediction.tree.RegressionTree`, and an argsort plus
-run-length keyword count for :meth:`SearchEngine.execute`.  Every
-comparison is exact, because the workload build must stay bit-identical.
+:class:`~repro.prediction.tree.RegressionTree`, an argsort plus
+run-length keyword count for :meth:`SearchEngine.execute`, per-query
+``execute`` calls for :meth:`SearchEngine.work_units`, one
+``rng.choice`` call per query for :class:`QueryGenerator`, a lexsort of
+(term, doc) pairs for :class:`InvertedIndex`, and per-query features for
+:func:`query_feature_matrix`.  Every comparison is exact, because the
+workload build must stay bit-identical.
 """
 
 from __future__ import annotations
@@ -14,11 +18,14 @@ import numpy as np
 import pytest
 
 from repro.config import SearchWorkloadConfig
+from repro.errors import WorkloadError
+from repro.prediction.features import query_feature_matrix, query_features
 from repro.prediction.tree import RegressionTree, _offset_codes
-from repro.search.corpus import build_corpus
+from repro.search import query as query_module
+from repro.search.corpus import build_corpus, zipf_probabilities
 from repro.search.engine import SearchEngine
 from repro.search.index import InvertedIndex
-from repro.search.query import Query
+from repro.search.query import Query, QueryGenerator
 from repro.search.scoring import bm25_scores, top_k_documents
 
 
@@ -320,3 +327,210 @@ class TestExecuteMatchesReference:
         self.check(cfg, index, engine, Query(1, (int(empty[0]),)))
         mixed = Query(2, (0, int(empty[0]), 5, int(empty[1])))
         self.check(cfg, index, engine, mixed)
+
+
+# -- pool work units ------------------------------------------------------
+
+
+def random_pool(rng, vocabulary, n, max_k=9):
+    """Queries of 1..max_k distinct terms drawn from ``range(vocabulary)``."""
+    return [
+        Query(qid, tuple(int(t) for t in rng.choice(vocabulary, size=k, replace=False)))
+        for qid, k in enumerate(rng.integers(1, max_k + 1, size=n))
+    ]
+
+
+class TestWorkUnitsMatchExecute:
+    def check(self, engine, queries):
+        expected = np.array(
+            [engine.execute(q).total_units for q in queries], dtype=np.float64
+        )
+        got = engine.work_units(queries)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_pools(self, sparse_engine, seed):
+        _, index, engine = sparse_engine
+        rng = np.random.default_rng(seed)
+        # Head terms overlap (k >= 3 queries keep survivors); the whole
+        # vocabulary adds empty postings.
+        for vocabulary in (300, index.vocabulary_size):
+            queries = random_pool(rng, vocabulary, 150)
+            assert {1, 2} <= {q.num_keywords for q in queries}
+            assert max(q.num_keywords for q in queries) >= 3
+            self.check(engine, queries)
+
+    def test_empty_postings(self, sparse_engine):
+        _, index, engine = sparse_engine
+        empty = [int(t) for t in np.flatnonzero(index.document_frequencies == 0)[:4]]
+        self.check(
+            engine,
+            [
+                Query(0, (empty[0],)),
+                Query(1, (empty[0], empty[1])),
+                Query(2, tuple(empty[:3])),
+                Query(3, (0, empty[0], 5, empty[1])),
+                Query(4, (0, empty[2])),
+            ],
+        )
+
+    def test_empty_pool(self, sparse_engine):
+        _, _, engine = sparse_engine
+        assert engine.work_units([]).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [-1, 4_000])
+    def test_out_of_range_terms_rejected(self, sparse_engine, bad):
+        _, _, engine = sparse_engine
+        for terms in ((bad,), (0, bad), (0, 1, bad)):
+            with pytest.raises(WorkloadError):
+                engine.work_units([Query(0, (3,)), Query(1, terms)])
+
+
+# -- query generation -----------------------------------------------------
+
+
+def reference_queries(cfg, rng, n):
+    """One ``rng.choice(..., replace=False, p=...)`` call per query."""
+    skip = min(cfg.easy_skip_top, cfg.vocabulary_size - 1)
+    easy_p = zipf_probabilities(cfg.vocabulary_size - skip, cfg.query_zipf_exponent)
+    pool = min(cfg.hard_term_pool, cfg.vocabulary_size)
+    hard_w = zipf_probabilities(cfg.vocabulary_size, cfg.zipf_exponent)[:pool]
+    hard_p = hard_w / hard_w.sum()
+    queries = []
+    for is_hard in rng.random(n) < cfg.hard_query_fraction:
+        if is_hard:
+            lo, hi = cfg.hard_keywords
+            k = min(int(rng.integers(lo, hi + 1)), pool)
+            terms = rng.choice(pool, size=k, replace=False, p=hard_p)
+        else:
+            lo, hi = cfg.easy_keywords
+            k = int(rng.integers(lo, hi + 1))
+            terms = skip + rng.choice(len(easy_p), size=k, replace=False, p=easy_p)
+        queries.append(tuple(sorted(int(t) for t in terms)))
+    return queries
+
+
+def generated(cfg, rng, n):
+    return [q.term_ids for q in QueryGenerator(cfg, rng).generate(n)]
+
+
+class TestQueryGeneratorMatchesChoice:
+    def check(self, cfg, seed, n):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert generated(cfg, ours, n) == reference_queries(cfg, theirs, n)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [2, 7, 11])
+    def test_default_mixture(self, seed):
+        self.check(SearchWorkloadConfig(), seed, 1_500)
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_small_hard_pool_resamples(self, seed, monkeypatch):
+        # Up to 12 keywords from a 6-term pool: draws repeat, so numpy's
+        # zero-and-redraw rounds run.
+        rounds = []
+        first = query_module._first_occurrences
+
+        def counted(values):
+            rounds.append(len(values))
+            return first(values)
+
+        monkeypatch.setattr(query_module, "_first_occurrences", counted)
+        cfg = SearchWorkloadConfig(
+            vocabulary_size=500, hard_term_pool=6, hard_query_fraction=0.5
+        )
+        self.check(cfg, seed, 400)
+        assert len(rounds) > 100
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_too_small_easy_vocabulary_raises_on_both_sides(self, seed):
+        # Two easy terms, up to four keywords per easy query.
+        cfg = SearchWorkloadConfig(vocabulary_size=5, easy_skip_top=3)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        with pytest.raises(ValueError):
+            generated(cfg, ours, 50)
+        with pytest.raises(ValueError):
+            reference_queries(cfg, theirs, 50)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+# -- index construction ---------------------------------------------------
+
+
+def reference_postings(corpus):
+    """(terms, docs, tfs) of the postings via a lexsort of (term, doc)."""
+    lengths = np.diff(corpus.doc_offsets)
+    doc_of_token = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+    order = np.lexsort((doc_of_token, corpus.doc_term_ids))
+    terms = corpus.doc_term_ids[order]
+    docs = doc_of_token[order]
+    boundary = np.ones(len(terms), dtype=bool)
+    boundary[1:] = (terms[1:] != terms[:-1]) | (docs[1:] != docs[:-1])
+    starts = np.flatnonzero(boundary)
+    tfs = np.diff(np.append(starts, len(terms)))
+    return terms[starts], docs[starts], tfs
+
+
+class TestIndexMatchesLexsort:
+    # 8-, 16- and 32-bit term ids: radix sort up to 16 bits only.
+    @pytest.mark.parametrize("vocabulary", [200, 4_000, 70_000])
+    def test_csr_arrays(self, vocabulary):
+        cfg = SearchWorkloadConfig(
+            num_documents=300, vocabulary_size=vocabulary, mean_doc_length=60
+        )
+        corpus = build_corpus(cfg, np.random.default_rng(vocabulary))
+        index = InvertedIndex(corpus)
+        terms, docs, tfs = reference_postings(corpus)
+        np.testing.assert_array_equal(index._posting_terms, terms)
+        np.testing.assert_array_equal(index._posting_docs, docs)
+        np.testing.assert_array_equal(index._posting_tfs, tfs)
+        assert index._posting_docs.dtype == np.int32
+        assert index._posting_tfs.dtype == np.int32
+        counts = np.bincount(terms, minlength=vocabulary)
+        np.testing.assert_array_equal(index.document_frequencies, counts)
+        np.testing.assert_array_equal(
+            index._term_offsets, np.concatenate(([0], np.cumsum(counts)))
+        )
+
+
+# -- query features -------------------------------------------------------
+
+
+def reference_features(query, index):
+    """The per-query feature vector, computed alone."""
+    term_ids = np.asarray(query.term_ids, dtype=np.int64)
+    dfs = index.document_frequencies[term_ids].astype(np.float64)
+    idfs = index.idf_array(term_ids)
+    sorted_dfs = np.sort(dfs)[::-1]
+    second_max = sorted_dfs[1] if len(sorted_dfs) > 1 else sorted_dfs[0]
+    return np.array(
+        [
+            float(len(term_ids)),
+            float(np.log1p(dfs.sum())),
+            float(np.log1p(dfs.min())),
+            float(np.log1p(dfs.max())),
+            float(np.log1p(second_max)),
+            float(idfs.mean()),
+            float(idfs.min()),
+            float(idfs.sum()),
+        ]
+    )
+
+
+class TestFeatureMatrixMatchesReference:
+    def test_every_keyword_count(self, sparse_engine):
+        _, index, _ = sparse_engine
+        rng = np.random.default_rng(12)
+        # Unsorted term order, every k in 1..12, mixed positions.
+        queries = random_pool(rng, index.vocabulary_size, 600, max_k=12)
+        assert {q.num_keywords for q in queries} == set(range(1, 13))
+        expected = np.vstack([reference_features(q, index) for q in queries])
+        got = query_feature_matrix(queries, index)
+        assert got.tobytes() == expected.tobytes()
+        for q, row in zip(queries[:40], expected):
+            assert query_features(q, index).tobytes() == row.tobytes()
+
+    def test_empty_query_list(self, sparse_engine):
+        _, index, _ = sparse_engine
+        assert query_feature_matrix([], index).shape == (0, 8)

@@ -283,6 +283,27 @@ class TestCli:
         write_json(document, baseline)
         assert gate_main(args) == 1
 
+    def test_update_with_only_keeps_other_checks_baselines(
+        self, tmp_path, tiny_scales, one_second_runs
+    ):
+        path = tmp_path / "gate_baseline.json"
+        shipped = load_baseline(baseline_path(BASELINE_FILENAME))
+        write_json(shipped, path)
+        # The tiny scenarios fall below the shipped floors, so the run
+        # fails; it still stores what it measured.
+        assert gate_main(_cli_args(tmp_path, path) + ["--update-baselines"]) == 1
+        document = load_baseline(path)
+        assert document["modes"]["full"] == shipped["modes"]["full"]
+        fast, before = document["modes"]["fast"], shipped["modes"]["fast"]
+        tpc_keys = {key for key in before if key.startswith("tpc_")}
+        assert tpc_keys
+        assert {key: fast[key] for key in tpc_keys} == {
+            key: before[key] for key in tpc_keys
+        }
+        assert set(fast) == set(before)
+        scale = _tiny("fast")
+        assert fast["engine_only_events_per_s"] == scale.engine_only_events
+
     def test_default_baseline_found_from_any_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         document = load_baseline(baseline_path(BASELINE_FILENAME))

@@ -1,11 +1,27 @@
 """Integration tests for the assembled search workload."""
 
+import functools
 import hashlib
 
 import numpy as np
 import pytest
 
+from repro.config import PredictorConfig
 from repro.errors import WorkloadError
+from repro.search import build_search_workload
+
+#: Every build phase, in build order; the first five run only when the
+#: pool is not served from the disk cache.
+BUILD_PHASES = (
+    "corpus",
+    "index",
+    "query_generate",
+    "pool_units",
+    "features",
+    "profiles",
+    "predictor_fit",
+    "predictor_predict",
+)
 
 
 class TestWorkloadShape:
@@ -50,6 +66,37 @@ class TestWorkloadShape:
         assert hashlib.sha256(w.pool_predictions_ms.tobytes()).hexdigest() == (
             "dfc23f43c546f04a42a5fe46b92578327942f41736a3d38202ef43aaec47a428"
         )
+
+    def test_canonical_golden_build_matches_pre_optimisation_run(self):
+        # The default-size build perfbench times, the only size whose
+        # pool runs every keyword count 1..12.  Captured before the
+        # cached-CDF query sampling, the batched pool work units, the
+        # radix-sorted index and the grouped feature kernel.
+        w = build_search_workload(1, use_cache=False)
+        report = w.predictor_report
+        assert report.l1_error_ms.hex() == "0x1.22822d9fdb446p+2"
+        assert report.precision.hex() == "0x1.bf1f8fc7e3f20p-1"
+        assert report.recall.hex() == "0x1.cefa8d9df51b4p-1"
+        assert hashlib.sha256(w.pool_demands_ms.tobytes()).hexdigest() == (
+            "8fab30dbb96092be5a4abc16af13b2ad9848da83ed4c207b2a4245cc2d18d836"
+        )
+        assert hashlib.sha256(w.pool_predictions_ms.tobytes()).hexdigest() == (
+            "8ab95608ef3a34d311030739011fb776cb6eac05bcc54eafb13d40472dc6897b"
+        )
+        assert list(w.build_phases_s) == list(BUILD_PHASES)
+        assert all(seconds >= 0.0 for seconds in w.build_phases_s.values())
+
+    def test_cached_pool_phases_are_absent(self, tiny_search_config, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        build = functools.partial(
+            build_search_workload,
+            seed=3,
+            config=tiny_search_config,
+            predictor_config=PredictorConfig(num_trees=5, max_depth=3),
+            pool_size=200,
+        )
+        assert list(build().build_phases_s) == list(BUILD_PHASES)
+        assert list(build().build_phases_s) == list(BUILD_PHASES[5:])
 
     def test_pool_arrays_aligned(self, tiny_search_workload):
         w = tiny_search_workload
